@@ -4,7 +4,7 @@ GO ?= go
 # seconds; override BENCH_JSON_FLAGS for a full-scale artifact run.
 BENCH_JSON_FLAGS ?= -exp table1,ranked -inprocess -timeout 5s -table1-rows 100
 
-.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental serve-smoke
+.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental serve-smoke perfbench-test
 
 # Wall-clock budget of the bounded differential-fuzz smoke run.
 FUZZTIME ?= 30s
@@ -82,3 +82,11 @@ fuzz-smoke-incremental:
 # clean SIGTERM shutdown.
 serve-smoke:
 	$(GO) test ./cmd/hyfdd -run 'TestServeSmoke|TestUsageErrors' -count=1 -v
+
+# perfbench-test vets and self-tests the benchmark module. perfbench is its
+# own Go module (it replaces hyfd with the parent directory), so the root
+# `go build/test ./...` never compiles it; this target catches internal API
+# changes that would break the benchmark. It takes about 35 s and is not
+# part of `make check`.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...

@@ -50,25 +50,58 @@ func TestDatasetWarmMatchesCold(t *testing.T) {
 		{"null=null", hyfd.NullEqualsNull},
 		{"null!=null", hyfd.NullNotEqualsNull},
 	}
+	// Every algorithm in ModeFD, plus the HyFD engine's ranked cut at k=1
+	// and over the complete cover (k=0).
+	type input struct {
+		name string
+		req  hyfd.Request
+	}
+	var inputs []input
+	for _, alg := range hyfd.Algorithms() {
+		inputs = append(inputs, input{alg, hyfd.Request{Algorithm: alg}})
+	}
+	inputs = append(inputs,
+		input{"ranked/top-1", hyfd.Request{Mode: hyfd.ModeRanked, TopK: 1}},
+		input{"ranked/top-0", hyfd.Request{Mode: hyfd.ModeRanked, TopK: 0}},
+	)
+	// run executes one input over rel (cold) or ds (warm) and returns the
+	// RankedResult events it streamed, with their wall-clock field zeroed.
+	run := func(ctx context.Context, in input, rel *hyfd.Relation, ds *hyfd.Dataset, opts hyfd.Options) (*hyfd.Result, []hyfd.RankedResult, error) {
+		var stream []hyfd.RankedResult
+		opts.Observer = hyfd.ObserverFunc(func(e hyfd.Event) {
+			if r, ok := e.(hyfd.RankedResult); ok {
+				r.Duration = 0
+				stream = append(stream, r)
+			}
+		})
+		req := in.req
+		req.Relation, req.Dataset, req.Options = rel, ds, opts
+		res, err := hyfd.Run(ctx, req)
+		return res, stream, err
+	}
 	for _, sem := range semantics {
 		for _, threads := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/threads=%d", sem.name, threads), func(t *testing.T) {
 				ctx := context.Background()
 
 				// Cold reference runs, preprocessing from scratch each time.
-				cold := make(map[string]*hyfd.Result)
-				for _, alg := range hyfd.Algorithms() {
-					res, err := hyfd.DiscoverWithContext(ctx, alg, rel, hyfd.Options{
+				type coldRun struct {
+					res    *hyfd.Result
+					stream []hyfd.RankedResult
+				}
+				cold := make(map[string]coldRun)
+				for _, in := range inputs {
+					res, stream, err := run(ctx, in, rel, nil, hyfd.Options{
 						NullSemantics: sem.ns,
 						Threads:       threads,
 					})
 					if err != nil {
-						t.Fatalf("%s cold: %v", alg, err)
+						t.Fatalf("%s cold: %v", in.name, err)
 					}
-					cold[alg] = res
+					cold[in.name] = coldRun{res, stream}
 				}
 
-				// One Prepare, then every algorithm warm — concurrently, and
+				// One Prepare, then every input warm — concurrently, and
 				// twice each, so the runs genuinely overlap on the shared
 				// Dataset.
 				ds, err := hyfd.Prepare(ctx, rel, hyfd.PrepareOptions{
@@ -79,31 +112,42 @@ func TestDatasetWarmMatchesCold(t *testing.T) {
 					t.Fatal(err)
 				}
 				var wg sync.WaitGroup
-				errs := make(chan error, 2*len(hyfd.Algorithms()))
-				for _, alg := range hyfd.Algorithms() {
+				errs := make(chan error, 2*len(inputs))
+				for _, in := range inputs {
 					for rep := 0; rep < 2; rep++ {
 						wg.Add(1)
-						go func(alg string) {
+						go func(in input) {
 							defer wg.Done()
-							got, err := hyfd.DiscoverDatasetWith(ctx, alg, ds, hyfd.Options{Threads: threads})
+							got, stream, err := run(ctx, in, nil, ds, hyfd.Options{Threads: threads})
 							if err != nil {
-								errs <- fmt.Errorf("%s warm: %w", alg, err)
+								errs <- fmt.Errorf("%s warm: %w", in.name, err)
 								return
 							}
-							want := cold[alg]
-							if !got.Set.Equal(want.Set) {
+							want := cold[in.name]
+							if in.req.Mode == hyfd.ModeRanked {
+								if !reflect.DeepEqual(got.Ranked, want.res.Ranked) {
+									errs <- fmt.Errorf("%s warm ranking disagrees with cold:\nwarm: %v\ncold: %v",
+										in.name, got.Ranked, want.res.Ranked)
+									return
+								}
+								if !reflect.DeepEqual(stream, want.stream) {
+									errs <- fmt.Errorf("%s warm RankedResult stream disagrees with cold:\nwarm: %v\ncold: %v",
+										in.name, stream, want.stream)
+									return
+								}
+							} else if !got.Set.Equal(want.res.Set) {
 								errs <- fmt.Errorf("%s warm disagrees with cold:\nmissing: %v\nextra: %v",
-									alg, want.Set.Diff(got.Set), got.Set.Diff(want.Set))
+									in.name, want.res.Set.Diff(got.Set), got.Set.Diff(want.res.Set))
 								return
 							}
 							if got.Stats == nil || !got.Stats.Warm {
-								errs <- fmt.Errorf("%s warm run did not set Stats.Warm", alg)
+								errs <- fmt.Errorf("%s warm run did not set Stats.Warm", in.name)
 								return
 							}
-							if alg == hyfd.AlgorithmHyFD && got.Stats.PreprocessingTime > 100*time.Millisecond {
+							if in.req.Algorithm == hyfd.AlgorithmHyFD && got.Stats.PreprocessingTime > 100*time.Millisecond {
 								errs <- fmt.Errorf("warm PreprocessingTime = %v, want ~0", got.Stats.PreprocessingTime)
 							}
-						}(alg)
+						}(in)
 					}
 				}
 				wg.Wait()
@@ -126,29 +170,28 @@ func TestDatasetApproximateAndUCCs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	aOpts := hyfd.ApproximateOptions{MaxError: 0.05}
-	coldA, err := hyfd.DiscoverApproximate(rel, aOpts)
+	coldA, err := hyfd.Run(ctx, hyfd.Request{Relation: rel, Mode: hyfd.ModeAFD, MaxError: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmA, err := hyfd.DiscoverApproximateDataset(ds, aOpts)
+	warmA, err := hyfd.Run(ctx, hyfd.Request{Dataset: ds, Mode: hyfd.ModeAFD, MaxError: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(coldA, warmA) {
-		t.Fatalf("approximate FDs diverge:\ncold: %v\nwarm: %v", coldA, warmA)
+	if !reflect.DeepEqual(coldA.AFDs, warmA.AFDs) {
+		t.Fatalf("approximate FDs diverge:\ncold: %v\nwarm: %v", coldA.AFDs, warmA.AFDs)
 	}
 
-	coldU, err := hyfd.DiscoverUCCs(rel, hyfd.NullEqualsNull, 0)
+	coldU, err := hyfd.Run(ctx, hyfd.Request{Relation: rel, Mode: hyfd.ModeUCC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmU, err := hyfd.DiscoverUCCsDataset(ds, 0)
+	warmU, err := hyfd.Run(ctx, hyfd.Request{Dataset: ds, Mode: hyfd.ModeUCC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(coldU, warmU) {
-		t.Fatalf("UCCs diverge:\ncold: %v\nwarm: %v", coldU, warmU)
+	if !reflect.DeepEqual(coldU.UCCs, warmU.UCCs) {
+		t.Fatalf("UCCs diverge:\ncold: %v\nwarm: %v", coldU.UCCs, warmU.UCCs)
 	}
 }
 
@@ -162,20 +205,18 @@ func TestDatasetErrorContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hyfd.DiscoverDatasetWith(ctx, "NoSuchAlgorithm", ds, hyfd.Options{}); !errors.Is(err, hyfd.ErrUnknownAlgorithm) {
+	if _, err := hyfd.Run(ctx, hyfd.Request{Dataset: ds, Algorithm: "NoSuchAlgorithm"}); !errors.Is(err, hyfd.ErrUnknownAlgorithm) {
 		t.Fatalf("unknown name: err = %v, want ErrUnknownAlgorithm", err)
 	}
-	if _, err := hyfd.DiscoverDataset(ctx, nil, hyfd.Options{}); err == nil {
-		t.Fatal("nil dataset accepted by DiscoverDataset")
-	}
-	if _, err := hyfd.DiscoverDatasetWith(ctx, hyfd.AlgorithmTane, nil, hyfd.Options{}); err == nil {
-		t.Fatal("nil dataset accepted by DiscoverDatasetWith")
-	}
-	if _, err := hyfd.DiscoverApproximateDataset(nil, hyfd.ApproximateOptions{}); err == nil {
-		t.Fatal("nil dataset accepted by DiscoverApproximateDataset")
-	}
-	if _, err := hyfd.DiscoverUCCsDataset(nil, 0); err == nil {
-		t.Fatal("nil dataset accepted by DiscoverUCCsDataset")
+	for _, req := range []hyfd.Request{
+		{},
+		{Algorithm: hyfd.AlgorithmTane},
+		{Mode: hyfd.ModeAFD},
+		{Mode: hyfd.ModeUCC},
+	} {
+		if _, err := hyfd.Run(ctx, req); err == nil {
+			t.Fatalf("nil dataset accepted by %+v", req)
+		}
 	}
 	if _, err := hyfd.Prepare(ctx, nil, hyfd.PrepareOptions{}); err == nil {
 		t.Fatal("nil relation accepted by Prepare")

@@ -9,7 +9,7 @@ import (
 	"hyfd"
 )
 
-func ExampleDiscover() {
+func ExampleRun() {
 	rel, err := hyfd.ReadCSV("addresses", strings.NewReader(
 		"Name,Zip,City\n"+
 			"ada,14482,Potsdam\n"+
@@ -18,7 +18,7 @@ func ExampleDiscover() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	result, err := hyfd.Discover(rel, hyfd.Options{})
+	result, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,11 +32,11 @@ func ExampleDiscover() {
 	// [Zip] -> City
 }
 
-func ExampleDiscoverWith() {
+func ExampleRun_algorithm() {
 	rel := hyfd.NewRelation("r", []string{"A", "B"})
 	rel.AppendRow([]string{"1", "x"})
 	rel.AppendRow([]string{"2", "x"})
-	result, err := hyfd.DiscoverWith(hyfd.AlgorithmTane, rel, hyfd.Options{})
+	result, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: hyfd.AlgorithmTane})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func ExampleDiscoverWith() {
 	// [] -> B
 }
 
-func ExampleDiscoverApproximate() {
+func ExampleRun_approximate() {
 	rel := hyfd.NewRelation("addr", []string{"Zip", "City"})
 	for i := 0; i < 9; i++ {
 		rel.AppendRow([]string{"14482", "Potsdam"})
@@ -55,11 +55,11 @@ func ExampleDiscoverApproximate() {
 	}
 	rel.AppendRow([]string{"14482", "Potsdm"}) // one typo
 	rel.AppendRow([]string{"10115", "Brlin"})  // another
-	afds, err := hyfd.DiscoverApproximate(rel, hyfd.ApproximateOptions{MaxError: 0.11})
+	result, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Mode: hyfd.ModeAFD, MaxError: 0.11})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, a := range afds {
+	for _, a := range result.AFDs {
 		if a.Lhs.Test(0) && a.Rhs == 1 {
 			fmt.Printf("Zip -> City with g3 = %.2f\n", a.Error)
 		}
@@ -68,16 +68,16 @@ func ExampleDiscoverApproximate() {
 	// Zip -> City with g3 = 0.10
 }
 
-func ExampleDiscoverUCCs() {
+func ExampleRun_uccs() {
 	rel := hyfd.NewRelation("orders", []string{"OrderID", "CustID"})
 	rel.AppendRow([]string{"1", "7"})
 	rel.AppendRow([]string{"2", "7"})
 	rel.AppendRow([]string{"3", "8"})
-	uccs, err := hyfd.DiscoverUCCs(rel, hyfd.NullEqualsNull, 0)
+	result, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Mode: hyfd.ModeUCC})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, u := range uccs {
+	for _, u := range result.UCCs {
 		fmt.Println(u)
 	}
 	// Output:
@@ -107,7 +107,7 @@ func Example_datasetReuse() {
 	}
 	// Fan out warm runs; each skips preprocessing and may run concurrently.
 	for _, name := range []string{hyfd.AlgorithmHyFD, hyfd.AlgorithmTane} {
-		res, err := hyfd.DiscoverDatasetWith(context.Background(), name, ds, hyfd.Options{})
+		res, err := hyfd.Run(context.Background(), hyfd.Request{Dataset: ds, Algorithm: name})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func FuzzDiscoverDifferential(f *testing.F) {
 		for _, ns := range []hyfd.NullSemantics{hyfd.NullEqualsNull, hyfd.NullNotEqualsNull} {
 			want := fd.BruteForce(rel, ns)
 			for _, threads := range []int{1, 3} {
-				res, err := hyfd.Discover(rel, hyfd.Options{NullSemantics: ns, Threads: threads})
+				res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Options: hyfd.Options{NullSemantics: ns, Threads: threads}})
 				if err != nil {
 					t.Fatalf("ns=%v threads=%d: %v", ns, threads, err)
 				}
@@ -210,11 +210,11 @@ func FuzzIncrementalDifferential(f *testing.F) {
 		final := applyDeltaRows(rel, delta)
 		ctx := context.Background()
 		for _, ns := range []hyfd.NullSemantics{hyfd.NullEqualsNull, hyfd.NullNotEqualsNull} {
-			base, err := hyfd.Discover(rel, hyfd.Options{NullSemantics: ns, Threads: 1})
+			base, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Options: hyfd.Options{NullSemantics: ns, Threads: 1}})
 			if err != nil {
 				t.Fatalf("ns=%v: base discover: %v", ns, err)
 			}
-			cold, err := hyfd.Discover(final, hyfd.Options{NullSemantics: ns, Threads: 1})
+			cold, err := hyfd.Run(context.Background(), hyfd.Request{Relation: final, Options: hyfd.Options{NullSemantics: ns, Threads: 1}})
 			if err != nil {
 				t.Fatalf("ns=%v: cold discover: %v", ns, err)
 			}

@@ -14,7 +14,6 @@ import (
 	"hyfd/internal/bitset"
 	"hyfd/internal/dataset"
 	"hyfd/internal/pli"
-	"hyfd/internal/relation"
 )
 
 // AFD is an approximate functional dependency with its g3 error.
@@ -70,43 +69,21 @@ func G3(ix *pli.Index, cache *pli.Cache, lhs bitset.Set, rhs int) float64 {
 type Options struct {
 	// MaxError is the g3 threshold ε: report X → A iff g3(X→A) ≤ ε.
 	MaxError float64
-	// NullSemantics selects the null comparison semantics.
-	NullSemantics relation.NullSemantics
 	// MaxLhs bounds the LHS size (0 = unbounded). Approximate FD sets grow
 	// quickly on dirty data; a bound keeps wide schemas tractable.
 	MaxLhs int
 }
 
-// Discover finds all minimal approximate FDs of the relation: X → A with
-// g3 ≤ ε such that no proper subset of X satisfies the threshold. Validity
-// is upward-closed in the LHS (adding attributes never increases g3), so a
-// level-wise search with subset pruning enumerates exactly the minimal
-// ones.
-func Discover(rel *relation.Relation, opts Options) ([]AFD, error) {
-	//hyfdvet:allow ctxflow — no-context compat shim; DiscoverDataset is the context-free primary path
-	ds, err := dataset.Prepare(context.Background(), rel, dataset.Options{
-		NullSemantics: opts.NullSemantics,
-		Threads:       1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return DiscoverDataset(ds, opts)
-}
-
-// DiscoverDataset is Discover over an already-prepared Dataset: the shared
+// Discover finds all minimal approximate FDs of the prepared Dataset: X → A
+// with g3 ≤ ε such that no proper subset of X satisfies the threshold.
+// Validity is upward-closed in the LHS (adding attributes never increases
+// g3), so a level-wise search with subset pruning enumerates exactly the
+// minimal ones. The dataset's baked-in null semantics apply, and its shared
 // PLIs are only read, so concurrent calls over one Dataset are race-clean.
-// opts.NullSemantics is ignored — the dataset's baked-in semantics apply.
-func DiscoverDataset(ds *dataset.Dataset, opts Options) ([]AFD, error) {
-	//hyfdvet:allow ctxflow — no-context compat shim; DiscoverDatasetContext is the primary path
-	return DiscoverDatasetContext(context.Background(), ds, opts)
-}
-
-// DiscoverDatasetContext is DiscoverDataset under a caller context.
 // Cancellation is checked once per lattice level and RHS attribute; a
 // canceled context returns an error wrapping ctx.Err() promptly instead of
 // finishing the sweep.
-func DiscoverDatasetContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]AFD, error) {
+func Discover(ctx context.Context, ds *dataset.Dataset, opts Options) ([]AFD, error) {
 	m := ds.NumCols()
 	if m == 0 {
 		return nil, nil

@@ -1,12 +1,14 @@
 package afd
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
 
 	"hyfd/internal/bitset"
+	"hyfd/internal/dataset"
 	"hyfd/internal/fd"
 	"hyfd/internal/pli"
 	"hyfd/internal/relation"
@@ -137,7 +139,7 @@ func TestDiscoverZeroErrorEqualsExact(t *testing.T) {
 			}
 			rel.AppendRow(row)
 		}
-		afds, err := Discover(rel, Options{MaxError: 0})
+		afds, err := discover(rel, Options{MaxError: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +160,7 @@ func TestDiscoverZeroErrorEqualsExact(t *testing.T) {
 
 func TestDiscoverTolerantThreshold(t *testing.T) {
 	rel := zipCity(4) // Zip→City violated by 4/44 ≈ 9 %
-	exact, err := Discover(rel, Options{MaxError: 0})
+	exact, err := discover(rel, Options{MaxError: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestDiscoverTolerantThreshold(t *testing.T) {
 			t.Fatal("Zip→City should not be exact on dirty data")
 		}
 	}
-	loose, err := Discover(rel, Options{MaxError: 0.1})
+	loose, err := discover(rel, Options{MaxError: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +196,7 @@ func TestDiscoverMinimality(t *testing.T) {
 			strconv.Itoa(r.Intn(3)), strconv.Itoa(r.Intn(3)),
 		})
 	}
-	afds, err := Discover(rel, Options{MaxError: 0.05})
+	afds, err := discover(rel, Options{MaxError: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +225,7 @@ func TestDiscoverMaxLhs(t *testing.T) {
 		}
 		rel.AppendRow(row)
 	}
-	afds, err := Discover(rel, Options{MaxError: 0, MaxLhs: 2})
+	afds, err := discover(rel, Options{MaxError: 0, MaxLhs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +237,20 @@ func TestDiscoverMaxLhs(t *testing.T) {
 }
 
 func TestDiscoverEdgeCases(t *testing.T) {
-	if afds, err := Discover(relation.New("z", nil), Options{}); err != nil || afds != nil {
+	if afds, err := discover(relation.New("z", nil), Options{}); err != nil || afds != nil {
 		t.Fatalf("zero-column: %v %v", afds, err)
 	}
 	bad := relation.New("d", []string{"A", "A"})
-	if _, err := Discover(bad, Options{}); err == nil {
+	if _, err := discover(bad, Options{}); err == nil {
 		t.Fatal("invalid relation accepted")
 	}
+}
+
+// discover prepares rel under null=null semantics and runs Discover on it.
+func discover(rel *relation.Relation, opts Options) ([]AFD, error) {
+	ds, err := dataset.Prepare(context.Background(), rel, dataset.Options{Threads: 1})
+	if err != nil {
+		return nil, err
+	}
+	return Discover(context.Background(), ds, opts)
 }

@@ -49,10 +49,20 @@ func ClassRelation() *relation.Relation {
 	return rel
 }
 
+// Discover runs alg cold on rel: it prepares a single-threaded Dataset under
+// ns first, then discovers over it.
+func Discover(ctx context.Context, alg algorithms.Algorithm, rel *relation.Relation, ns relation.NullSemantics, cfg algorithms.Config) (*fd.Set, error) {
+	ds, err := dataset.Prepare(ctx, rel, dataset.Options{NullSemantics: ns, Threads: 1})
+	if err != nil {
+		return nil, err
+	}
+	return alg.Discover(ctx, ds, cfg)
+}
+
 // check asserts the algorithm reproduces the brute-force result.
 func check(t *testing.T, alg algorithms.Algorithm, rel *relation.Relation, ns relation.NullSemantics) {
 	t.Helper()
-	got, err := algorithms.DiscoverRelation(context.Background(), alg, rel, algorithms.Config{NullSemantics: ns})
+	got, err := Discover(context.Background(), alg, rel, ns, algorithms.Config{})
 	if err != nil {
 		t.Fatalf("%s on %s: %v", alg.Name(), rel.Name, err)
 	}
@@ -155,7 +165,7 @@ func RunConformance(t *testing.T, alg algorithms.Algorithm, seed int64) {
 		rel.Name = "bounded-lhs"
 		full := fd.BruteForce(rel, relation.NullEqualsNull)
 		for max := 1; max <= 3; max++ {
-			got, err := algorithms.DiscoverRelation(context.Background(), alg, rel, algorithms.Config{MaxLhsSize: max})
+			got, err := Discover(context.Background(), alg, rel, relation.NullEqualsNull, algorithms.Config{MaxLhsSize: max})
 			if err != nil {
 				t.Fatalf("%s max=%d: %v", alg.Name(), max, err)
 			}
@@ -173,7 +183,7 @@ func RunConformance(t *testing.T, alg algorithms.Algorithm, seed int64) {
 		r := rand.New(rand.NewSource(seed + 3))
 		rel := RandomRelation(r, 60, 5, 3)
 		rel.Name = "canceled"
-		if _, err := algorithms.DiscoverRelation(ctx, alg, rel, algorithms.Config{}); !errors.Is(err, context.Canceled) {
+		if _, err := Discover(ctx, alg, rel, relation.NullEqualsNull, algorithms.Config{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", alg.Name(), err)
 		}
 	})
@@ -192,8 +202,8 @@ func RunConformance(t *testing.T, alg algorithms.Algorithm, seed int64) {
 		}
 		rel.Name = "warm-reuse"
 		for _, ns := range []relation.NullSemantics{relation.NullEqualsNull, relation.NullNotEqualsNull} {
-			cfg := algorithms.Config{NullSemantics: ns}
-			want, err := algorithms.DiscoverRelation(context.Background(), alg, rel, cfg)
+			cfg := algorithms.Config{}
+			want, err := Discover(context.Background(), alg, rel, ns, cfg)
 			if err != nil {
 				t.Fatalf("%s cold (%v): %v", alg.Name(), ns, err)
 			}

@@ -7,6 +7,7 @@ import (
 
 	"hyfd/internal/algorithms"
 	"hyfd/internal/algorithms/algotest"
+	"hyfd/internal/relation"
 )
 
 func TestConformance(t *testing.T) {
@@ -18,12 +19,12 @@ func TestSeedIndependence(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 8; trial++ {
 		rel := algotest.RandomRelation(r, 30, 5, 3)
-		want, err := algorithms.DiscoverRelation(context.Background(), New(0), rel, algorithms.Config{})
+		want, err := algotest.Discover(context.Background(), New(0), rel, relation.NullEqualsNull, algorithms.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for seed := int64(1); seed <= 5; seed++ {
-			got, err := algorithms.DiscoverRelation(context.Background(), New(seed), rel, algorithms.Config{})
+			got, err := algotest.Discover(context.Background(), New(seed), rel, relation.NullEqualsNull, algorithms.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

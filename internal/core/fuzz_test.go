@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"hyfd/internal/fd"
@@ -47,7 +46,7 @@ func FuzzDiscoverMatchesBruteForce(f *testing.F) {
 			rel.AppendRow(row)
 		}
 		for _, ns := range []relation.NullSemantics{relation.NullEqualsNull, relation.NullNotEqualsNull} {
-			got, _, err := Discover(context.Background(), rel, Config{NullSemantics: ns})
+			got, _, err := discoverCold(rel, Config{NullSemantics: ns})
 			if err != nil {
 				t.Fatalf("Discover failed: %v", err)
 			}

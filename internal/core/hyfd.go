@@ -18,6 +18,7 @@ import (
 	"hyfd/internal/inductor"
 	"hyfd/internal/metrics"
 	"hyfd/internal/pli"
+	"hyfd/internal/rank"
 	"hyfd/internal/relation"
 	"hyfd/internal/sampler"
 	"hyfd/internal/trace"
@@ -138,79 +139,147 @@ func (t statsTimers) Observe(e trace.Event) {
 	}
 }
 
-// Discover runs HyFD on the relation and returns all minimal, non-trivial
-// functional dependencies along with run telemetry.
+// Input names the data of one run: exactly one of Relation (a cold run,
+// which preprocesses first) and Dataset (a warm run over an already-prepared
+// Dataset).
+type Input struct {
+	Relation *relation.Relation
+	Dataset  *dataset.Dataset
+}
+
+// Ranking switches a run into ranked top-k mode: validated FDs are scored by
+// internal/rank's redundancy measure and the run terminates as soon as the
+// top TopK of the ranking are provably stable — usually long before the full
+// canonical cover is materialized. TopK <= 0 ranks the complete cover;
+// MinScore > 0 additionally drops (and stops below) low-scoring results.
+type Ranking struct {
+	TopK     int
+	MinScore float64
+}
+
+// Result is the output of one run. FDs holds the minimal cover of a
+// full-cover run; Ranked holds the ranking of a ranked run, ordered by rank.
+// Stats is always set.
+type Result struct {
+	FDs    *fd.Set
+	Ranked []rank.FD
+	Stats  *Stats
+}
+
+// Discover runs HyFD over the input and returns all minimal, non-trivial
+// functional dependencies (rk == nil) or their top-k ranking (rk != nil),
+// along with run telemetry.
+//
+// A cold run (in.Relation) preprocesses under cfg.NullSemantics and emits
+// PLIBuilt per attribute, then PreprocessingDone. A warm run (in.Dataset)
+// never rebuilds PLIs: Stats.Warm is set, Stats.PreprocessingTime covers only
+// the (near-zero) reuse overhead, observers receive a single
+// PreprocessingDone with Warm set, and cfg.NullSemantics is ignored — the
+// Dataset's PLIs were built under ds.NullSemantics(). cfg.Threads > 0 sets
+// the worker count; any value <= 0 picks the Dataset's resolved count (warm)
+// or runtime.GOMAXPROCS(0) (cold). Because the Dataset is immutable, any
+// number of warm runs may execute concurrently over it, and each produces a
+// result bit-for-bit identical to a cold run at the same thread count.
+//
+// A ranked result is exactly the first k entries of the full cover rescored
+// offline with rank.Rank — early termination never changes the answer, only
+// the work. Each stabilized result is also emitted as a trace.RankedResult
+// event while the run is still in flight (the any-time stream).
 //
 // The context is honored at cancellation checkpoints inside the sampler's
 // cluster-window loops and the validator's level traversal (including its
 // parallel workers): a canceled or expired context makes Discover return
 // promptly with an error wrapping ctx.Err(). A nil ctx is treated as
 // context.Background().
-func Discover(ctx context.Context, rel *relation.Relation, cfg Config) (*fd.Set, *Stats, error) {
-	if ctx == nil {
-		//hyfdvet:allow ctxflow — documented nil-ctx defaulting at the engine's public boundary
-		ctx = context.Background()
+func Discover(ctx context.Context, in Input, cfg Config, rk *Ranking) (*Result, error) {
+	ctx = background(ctx)
+	ds := in.Dataset
+	stats := &Stats{Complete: true, Warm: ds != nil}
+	switch {
+	case (ds == nil) == (in.Relation == nil):
+		return nil, errors.New("hyfd: run input needs exactly one of a Relation and a Dataset")
+	case ds != nil:
+		stats.Rows, stats.Cols = ds.NumRows(), ds.NumCols()
+		stats.Threads = resolveThreads(cfg.Threads, ds.Threads())
+	default:
+		if err := in.Relation.Validate(); err != nil {
+			return nil, err
+		}
+		stats.Rows, stats.Cols = in.Relation.NumRows(), in.Relation.NumCols()
+		stats.Threads = resolveThreads(cfg.Threads, runtime.GOMAXPROCS(0))
 	}
-	if rel == nil {
-		return nil, nil, errors.New("hyfd: nil relation")
-	}
-	if err := rel.Validate(); err != nil {
-		return nil, nil, err
-	}
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	stats := &Stats{Rows: rel.NumRows(), Cols: rel.NumCols(), Complete: true, Threads: threads}
-	if rel.NumCols() == 0 {
-		stats.MaxLhs = 0
-		return fd.NewSet(0), stats, nil
+	if stats.Cols == 0 {
+		res := &Result{Stats: stats}
+		if rk == nil {
+			res.FDs = fd.NewSet(0)
+		}
+		return res, nil
 	}
 	em := metrics.NewEngineMetrics(cfg.Metrics) // nil registry → nil, all hooks no-ops
 	obs := trace.Multi(statsTimers{stats}, em.Observer(), cfg.Observer)
 	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, interrupted(err)
+		return nil, interrupted(err)
 	}
-	// Preprocessor (Alg. 1). The relation was already validated above, so
-	// any error out of prepare is a context interruption.
-	ds, err := prepare(ctx, rel, cfg.NullSemantics, threads, obs, em)
-	if err != nil {
-		return nil, nil, interrupted(err)
+	if ds == nil {
+		// Preprocessor (Alg. 1). The relation was already validated above,
+		// so any error out of prepare is a context interruption.
+		var err error
+		if ds, err = prepare(ctx, in.Relation, cfg.NullSemantics, stats.Threads, obs, em); err != nil {
+			return nil, interrupted(err)
+		}
+	} else {
+		trace.Emit(obs, trace.PreprocessingDone{
+			Rows: stats.Rows, Cols: stats.Cols, Threads: stats.Threads, Warm: true,
+			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
+			Duration: time.Since(start),
+		})
 	}
-	return run(ctx, ds.Index(), cfg, threads, stats, obs, em, start)
+	return run(ctx, ds.Index(), cfg, rk, stats, obs, em, start)
 }
 
 // Prepare runs HyFD's preprocessing (Alg. 1: PLI construction + record
 // inversion) once over the relation and returns the immutable Dataset that
-// warm runs — DiscoverDataset here, and every converted baseline — consume.
-// Observers registered in cfg receive the same PLIBuilt (in attribute
-// order), cluster-size metrics, and PreprocessingDone events a cold Discover
-// would emit. Only cfg.NullSemantics, cfg.Threads, cfg.Observer, and
-// cfg.Metrics are consulted.
+// warm runs — Discover with Input.Dataset here, and every converted
+// baseline — consume. Observers registered in cfg receive the same PLIBuilt
+// (in attribute order), cluster-size metrics, and PreprocessingDone events a
+// cold Discover would emit. Only cfg.NullSemantics, cfg.Threads,
+// cfg.Observer, and cfg.Metrics are consulted.
 func Prepare(ctx context.Context, rel *relation.Relation, cfg Config) (*dataset.Dataset, error) {
-	if ctx == nil {
-		//hyfdvet:allow ctxflow — documented nil-ctx defaulting at the engine's public boundary
-		ctx = context.Background()
-	}
+	ctx = background(ctx)
 	if rel == nil {
 		return nil, errors.New("hyfd: nil relation")
 	}
 	if err := rel.Validate(); err != nil {
 		return nil, err
 	}
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
 	em := metrics.NewEngineMetrics(cfg.Metrics)
 	obs := trace.Multi(em.Observer(), cfg.Observer)
-	ds, err := prepare(ctx, rel, cfg.NullSemantics, threads, obs, em)
+	ds, err := prepare(ctx, rel, cfg.NullSemantics, resolveThreads(cfg.Threads, runtime.GOMAXPROCS(0)), obs, em)
 	if err != nil {
 		return nil, interrupted(err)
 	}
 	return ds, nil
+}
+
+// background treats a nil ctx as context.Background(), the documented
+// contract of the engine's entry points.
+func background(ctx context.Context) context.Context {
+	if ctx == nil {
+		//hyfdvet:allow ctxflow — documented nil-ctx defaulting at the engine's public boundary
+		return context.Background()
+	}
+	return ctx
+}
+
+// resolveThreads returns the configured worker count, or fallback when it is
+// <= 0.
+func resolveThreads(configured, fallback int) int {
+	if configured <= 0 {
+		return fallback
+	}
+	return configured
 }
 
 // buildStat records one attribute's PLI build outcome for ordered replay.
@@ -248,57 +317,19 @@ func prepare(ctx context.Context, rel *relation.Relation, ns relation.NullSemant
 	return ds, nil
 }
 
-// DiscoverDataset runs HyFD over an already-prepared Dataset — a warm run.
-// It never rebuilds PLIs: Stats.Warm is set, Stats.PreprocessingTime covers
-// only the (near-zero) reuse overhead, and observers receive a single
-// PreprocessingDone event with Warm set instead of the build sequence.
-//
-// cfg.NullSemantics is ignored: the Dataset's PLIs were built under
-// ds.NullSemantics() and a conflicting option could not be honored without
-// rebuilding. cfg.Threads > 0 overrides the worker count for sampling and
-// validation; any value <= 0 inherits the dataset's resolved count. Because
-// the Dataset is immutable, any number of DiscoverDataset calls may run
-// concurrently over the same ds, and each produces a result bit-for-bit
-// identical to a cold Discover at the same thread count.
-func DiscoverDataset(ctx context.Context, ds *dataset.Dataset, cfg Config) (*fd.Set, *Stats, error) {
-	if ctx == nil {
-		//hyfdvet:allow ctxflow — documented nil-ctx defaulting at the engine's public boundary
-		ctx = context.Background()
-	}
-	if ds == nil {
-		return nil, nil, errors.New("hyfd: nil dataset")
-	}
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = ds.Threads()
-	}
-	stats := &Stats{Rows: ds.NumRows(), Cols: ds.NumCols(), Complete: true, Threads: threads, Warm: true}
-	if ds.NumCols() == 0 {
-		stats.MaxLhs = 0
-		return fd.NewSet(0), stats, nil
-	}
-	em := metrics.NewEngineMetrics(cfg.Metrics)
-	obs := trace.Multi(statsTimers{stats}, em.Observer(), cfg.Observer)
-	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, interrupted(err)
-	}
-	trace.Emit(obs, trace.PreprocessingDone{
-		Rows: stats.Rows, Cols: stats.Cols, Threads: threads, Warm: true,
-		//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
-		Duration: time.Since(start),
-	})
-	return run(ctx, ds.Index(), cfg, threads, stats, obs, em, start)
-}
-
 // run executes the alternating Phase 1 / Phase 2 loop over a prepared PLI
-// index. It is shared by cold runs (Discover, after building the index) and
-// warm runs (DiscoverDataset); the index is only read.
-func run(ctx context.Context, ix *pli.Index, cfg Config, threads int, stats *Stats, obs trace.Observer, em *metrics.EngineMetrics, start time.Time) (*fd.Set, *Stats, error) {
+// index; the index is only read. With a ranking, a rank.Tracker hooks into
+// the validator's level boundary: after every completed level it folds the
+// level's validated FDs into the ranking and recomputes the cut bound (the
+// maximum score any still-unvalidated candidate can reach). Results scoring
+// strictly above the bound have final ranks and stream out immediately as
+// trace.RankedResult events; once k results are stable (or the bound falls
+// below MinScore) the level callback stops the validator mid-run and the
+// loop exits without touching the rest of the lattice.
+func run(ctx context.Context, ix *pli.Index, cfg Config, rk *Ranking, stats *Stats, obs trace.Observer, em *metrics.EngineMetrics, start time.Time) (*Result, error) {
 	smp := sampler.New(ix, sampler.Config{
 		Threshold:   cfg.EfficiencyThreshold,
-		Threads:     threads,
+		Threads:     stats.Threads,
 		Unfocused:   cfg.UnfocusedSampling,
 		Instruments: em.Sampler(),
 	})
@@ -308,9 +339,29 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, threads int, stats *Sta
 		stats.Complete = false
 	}
 	vopts := []validator.Option{
-		validator.WithThreads(threads),
+		validator.WithThreads(stats.Threads),
 		validator.WithObserver(obs),
 		validator.WithInstruments(em.Validator()),
+	}
+	var tracker *rank.Tracker
+	if rk != nil {
+		tracker = rank.NewTracker(rank.NewScorer(ix), ind.Tree(), rk.TopK, rk.MinScore)
+		vopts = append(vopts, validator.WithLevelFunc(func(level int, valid []fd.FD) bool {
+			newly, cont := tracker.CompleteLevel(level, valid)
+			for _, e := range newly {
+				//hyfdvet:allow determinism — wall-clock telemetry only; never influences the ranking
+				elapsed := time.Since(start)
+				trace.Emit(obs, trace.RankedResult{
+					Rank: e.Rank, Score: e.Score,
+					Lhs: e.FD.Lhs.Indices(), Rhs: e.FD.Rhs,
+					Duration: elapsed,
+				})
+				if em != nil && rk.TopK > 0 && e.Rank == rk.TopK {
+					em.RankedTimeToTopK.Observe(elapsed.Seconds())
+				}
+			}
+			return cont
+		}))
 	}
 	if cfg.EfficiencyThreshold > 0 {
 		vopts = append(vopts, validator.WithInvalidThreshold(cfg.EfficiencyThreshold))
@@ -342,7 +393,7 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, threads int, stats *Sta
 		roundStart := time.Now()
 		newObs, err := smp.Run(ctx, suggestions)
 		if err != nil {
-			return nil, nil, interrupted(err)
+			return nil, interrupted(err)
 		}
 		stats.SamplingRounds++
 		ind.Update(newObs)
@@ -367,10 +418,15 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, threads int, stats *Sta
 		exhaustive := len(newObs) == 0
 		res, err := val.Run(ctx, exhaustive)
 		if err != nil {
-			return nil, nil, interrupted(err)
+			return nil, interrupted(err)
 		}
 		checkGuardian()
-		if res.Done {
+		if res.Stopped {
+			// A ranked cut intentionally leaves the lattice unexplored: the
+			// result is the exact top-k, not the complete cover.
+			stats.Complete = false
+		}
+		if res.Done || res.Stopped {
 			break
 		}
 		suggestions = res.Suggestions
@@ -391,11 +447,17 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, threads int, stats *Sta
 	if grd.Pruned {
 		stats.Complete = false
 	}
-	fds := ind.Tree().FDs()
-	stats.FDCount = fds.Size()
+	res := &Result{Stats: stats}
+	if tracker != nil {
+		res.Ranked = tracker.Finalize()
+		stats.FDCount = len(res.Ranked)
+	} else {
+		res.FDs = ind.Tree().FDs()
+		stats.FDCount = res.FDs.Size()
+	}
 	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 	trace.Emit(obs, trace.Done{FDs: stats.FDCount, Duration: time.Since(start)})
-	return fds, stats, nil
+	return res, nil
 }
 
 // interrupted wraps a context error into the engine's error contract;

@@ -36,7 +36,7 @@ func TestDiscoverClassExample(t *testing.T) {
 	rel.AppendRow([]string{"Brown", "English", "R1"})
 	rel.AppendRow([]string{"Miller", "English", "R3"})
 	rel.AppendRow([]string{"Brown", "Math", "R1"})
-	got, stats, err := Discover(context.Background(), rel, Config{})
+	got, stats, err := discoverCold(rel, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDiscoverMatchesBruteForceTable(t *testing.T) {
 		c := c
 		t.Run(fmt.Sprintf("r%dc%dd%d", c.rows, c.cols, c.domain), func(t *testing.T) {
 			rel := randomRelation(r, c.rows, c.cols, c.domain)
-			got, _, err := Discover(context.Background(), rel, Config{})
+			got, _, err := discoverCold(rel, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func TestDiscoverMatchesBruteForceTable(t *testing.T) {
 func TestDiscoverEdgeCases(t *testing.T) {
 	t.Run("empty relation", func(t *testing.T) {
 		rel := relation.New("e", []string{"A", "B"})
-		got, stats, err := Discover(context.Background(), rel, Config{})
+		got, stats, err := discoverCold(rel, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestDiscoverEdgeCases(t *testing.T) {
 	})
 	t.Run("zero columns", func(t *testing.T) {
 		rel := relation.New("z", nil)
-		got, _, err := Discover(context.Background(), rel, Config{})
+		got, _, err := discoverCold(rel, Config{})
 		if err != nil || got.Size() != 0 {
 			t.Fatalf("got %v, err %v", got, err)
 		}
@@ -100,7 +100,7 @@ func TestDiscoverEdgeCases(t *testing.T) {
 		rel := relation.New("s", []string{"A"})
 		rel.AppendRow([]string{"x"})
 		rel.AppendRow([]string{"y"})
-		got, _, err := Discover(context.Background(), rel, Config{})
+		got, _, err := discoverCold(rel, Config{})
 		if err != nil || got.Size() != 0 {
 			t.Fatalf("got %v, err %v", got, err)
 		}
@@ -109,7 +109,7 @@ func TestDiscoverEdgeCases(t *testing.T) {
 		rel := relation.New("c", []string{"A", "B"})
 		rel.AppendRow([]string{"x", "y"})
 		rel.AppendRow([]string{"x", "y"})
-		got, _, err := Discover(context.Background(), rel, Config{})
+		got, _, err := discoverCold(rel, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestDiscoverEdgeCases(t *testing.T) {
 		r := rand.New(rand.NewSource(5))
 		rel := randomRelation(r, 20, 4, 3)
 		rel.Rows = append(rel.Rows, rel.Rows[:10]...)
-		got, _, err := Discover(context.Background(), rel, Config{})
+		got, _, err := discoverCold(rel, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,13 +134,13 @@ func TestDiscoverEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("nil relation", func(t *testing.T) {
-		if _, _, err := Discover(context.Background(), nil, Config{}); err == nil {
+		if _, _, err := discoverCold(nil, Config{}); err == nil {
 			t.Fatal("nil relation accepted")
 		}
 	})
 	t.Run("invalid relation", func(t *testing.T) {
 		rel := relation.New("d", []string{"A", "A"})
-		if _, _, err := Discover(context.Background(), rel, Config{}); err == nil {
+		if _, _, err := discoverCold(rel, Config{}); err == nil {
 			t.Fatal("duplicate column names accepted")
 		}
 	})
@@ -152,7 +152,7 @@ func TestDiscoverWithKeyColumn(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		rel.AppendRow([]string{strconv.Itoa(i), strconv.Itoa(i % 3), strconv.Itoa(i % 2)})
 	}
-	got, _, err := Discover(context.Background(), rel, Config{})
+	got, _, err := discoverCold(rel, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestDiscoverNullSemantics(t *testing.T) {
 	rel.AppendRow([]string{relation.Null, "2"})
 	rel.AppendRow([]string{"x", "1"})
 	for _, ns := range []relation.NullSemantics{relation.NullEqualsNull, relation.NullNotEqualsNull} {
-		got, _, err := Discover(context.Background(), rel, Config{NullSemantics: ns})
+		got, _, err := discoverCold(rel, Config{NullSemantics: ns})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,8 +182,8 @@ func TestDiscoverNullSemantics(t *testing.T) {
 		}
 	}
 	// The two semantics must actually differ here: A→B only under ⊥≠⊥.
-	eq, _, _ := Discover(context.Background(), rel, Config{NullSemantics: relation.NullEqualsNull})
-	ne, _, _ := Discover(context.Background(), rel, Config{NullSemantics: relation.NullNotEqualsNull})
+	eq, _, _ := discoverCold(rel, Config{NullSemantics: relation.NullEqualsNull})
+	ne, _, _ := discoverCold(rel, Config{NullSemantics: relation.NullNotEqualsNull})
 	aToB := fd.FD{Lhs: bitset.FromIndices(2, 0), Rhs: 1}
 	if eq.Contains(aToB) || !ne.Contains(aToB) {
 		t.Fatalf("null semantics not honored: eq=\n%s\nne=\n%s", eq, ne)
@@ -194,11 +194,11 @@ func TestDiscoverMultiThreadedMatchesSingle(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 5; trial++ {
 		rel := randomRelation(r, 80, 6, 3)
-		single, _, err := Discover(context.Background(), rel, Config{Threads: 1})
+		single, _, err := discoverCold(rel, Config{Threads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		multi, _, err := Discover(context.Background(), rel, Config{Threads: 4})
+		multi, _, err := discoverCold(rel, Config{Threads: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestDiscoverThresholdInsensitivity(t *testing.T) {
 	rel := randomRelation(r, 100, 5, 3)
 	want := fd.BruteForce(rel, relation.NullEqualsNull)
 	for _, th := range []float64{0.0001, 0.001, 0.01, 0.1, 0.5, 1.0} {
-		got, _, err := Discover(context.Background(), rel, Config{EfficiencyThreshold: th})
+		got, _, err := discoverCold(rel, Config{EfficiencyThreshold: th})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestDiscoverThresholdInsensitivity(t *testing.T) {
 func TestDiscoverMaxLhsSize(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	rel := randomRelation(r, 40, 6, 2)
-	got, stats, err := Discover(context.Background(), rel, Config{MaxLhsSize: 2})
+	got, stats, err := discoverCold(rel, Config{MaxLhsSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestDiscoverGuardianBudget(t *testing.T) {
 	// deep minimal FDs, exactly the regime the Guardian exists for.
 	r := rand.New(rand.NewSource(21))
 	rel := randomRelation(r, 20, 10, 2)
-	got, stats, err := Discover(context.Background(), rel, Config{MemoryBudgetBytes: 8 << 10})
+	got, stats, err := discoverCold(rel, Config{MemoryBudgetBytes: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestDiscoverStatsTelemetry(t *testing.T) {
 	for i := range rel.Rows {
 		rel.Rows[i][0] = strconv.Itoa(i)
 	}
-	_, stats, err := Discover(context.Background(), rel, Config{})
+	_, stats, err := discoverCold(rel, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestQuickDiscoverMatchesBruteForce(t *testing.T) {
 		cols := 2 + r.Intn(5)
 		domain := 1 + r.Intn(5)
 		rel := randomRelation(r, rows, cols, domain)
-		got, _, err := Discover(context.Background(), rel, Config{})
+		got, _, err := discoverCold(rel, Config{})
 		if err != nil {
 			return false
 		}
@@ -337,7 +337,7 @@ func TestQuickDiscoverNullSemantics(t *testing.T) {
 		if seed%2 == 0 {
 			ns = relation.NullEqualsNull
 		}
-		got, _, err := Discover(context.Background(), rel, Config{NullSemantics: ns})
+		got, _, err := discoverCold(rel, Config{NullSemantics: ns})
 		if err != nil {
 			return false
 		}
@@ -354,7 +354,7 @@ func TestDiscoverAblationsPreserveResult(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 6; trial++ {
 		rel := randomRelation(r, 60, 5, 3)
-		want, _, err := Discover(context.Background(), rel, Config{})
+		want, _, err := discoverCold(rel, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func TestDiscoverAblationsPreserveResult(t *testing.T) {
 			"intersection": {IntersectionValidation: true},
 			"all":          {UnfocusedSampling: true, NoSuggestions: true, IntersectionValidation: true},
 		} {
-			got, _, err := Discover(context.Background(), rel, cfg)
+			got, _, err := discoverCold(rel, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -374,4 +374,13 @@ func TestDiscoverAblationsPreserveResult(t *testing.T) {
 			}
 		}
 	}
+}
+
+// discoverCold runs a cold full-cover Discover over rel.
+func discoverCold(rel *relation.Relation, cfg Config) (*fd.Set, *Stats, error) {
+	res, err := Discover(context.Background(), Input{Relation: rel}, cfg, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.FDs, res.Stats, nil
 }

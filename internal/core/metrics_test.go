@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -32,7 +31,7 @@ func structuredRelation(rows int) *relation.Relation {
 func TestMetricsMatchStats(t *testing.T) {
 	rel := structuredRelation(90)
 	reg := metrics.NewRegistry()
-	_, stats, err := Discover(context.Background(), rel, Config{Metrics: reg})
+	_, stats, err := discoverCold(rel, Config{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestMetricsMatchStats(t *testing.T) {
 	}
 
 	// A second run on the same registry accumulates.
-	if _, _, err := Discover(context.Background(), rel, Config{Metrics: reg}); err != nil {
+	if _, _, err := discoverCold(rel, Config{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := reg.Snapshot().Counter("hyfd_runs_total"); got != 2 {
@@ -88,12 +87,12 @@ func TestMetricsMatchStats(t *testing.T) {
 // registry must not change behavior (and must not panic anywhere).
 func TestMetricsNilRegistry(t *testing.T) {
 	rel := randomRelation(rand.New(rand.NewSource(7)), 50, 5, 3)
-	fds, _, err := Discover(context.Background(), rel, Config{})
+	fds, _, err := discoverCold(rel, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	metered, _, err := Discover(context.Background(), rel, Config{Metrics: reg})
+	metered, _, err := discoverCold(rel, Config{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

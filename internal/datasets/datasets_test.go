@@ -86,10 +86,11 @@ func TestNullRate(t *testing.T) {
 
 func TestFDReducedConcentratesLowLevels(t *testing.T) {
 	rel := FDReduced(2000, 8, 0, 1)
-	fds, _, err := core.Discover(context.Background(), rel, core.Config{})
+	res, err := core.Discover(context.Background(), core.Input{Relation: rel}, core.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fds := res.FDs
 	if fds.Size() == 0 {
 		t.Fatal("fd-reduced analog has no FDs")
 	}
@@ -166,10 +167,11 @@ func TestByName(t *testing.T) {
 func TestNCVoterAnalogHasRichFDStructure(t *testing.T) {
 	d, _ := ByName("ncvoter")
 	rel := d.Generate(1.0)
-	fds, _, err := core.Discover(context.Background(), rel, core.Config{})
+	res, err := core.Discover(context.Background(), core.Input{Relation: rel}, core.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fds := res.FDs
 	if fds.Size() < 100 {
 		t.Fatalf("ncvoter analog has only %d FDs; analog too weak", fds.Size())
 	}

@@ -165,33 +165,20 @@ func Materialize(spec Spec) (*relation.Relation, error) {
 
 // ExecuteInProcess materializes the spec's dataset and measures the run in
 // the current process. Dataset generation time is excluded; peak heap is
-// sampled concurrently.
-func ExecuteInProcess(spec Spec) Result {
-	//hyfdvet:allow ctxflow — no-context compat shim; the context variant is the primary API
-	return ExecuteInProcessContext(context.Background(), spec)
-}
-
-// ExecuteInProcessContext is ExecuteInProcess under a caller context: a
-// deadline or cancellation aborts the measured run and is reported as a
-// timeout in the result.
-func ExecuteInProcessContext(ctx context.Context, spec Spec) Result {
+// sampled concurrently. A deadline or cancellation of ctx aborts the
+// measured run and is reported as a timeout in the result.
+func ExecuteInProcess(ctx context.Context, spec Spec) Result {
 	rel, err := Materialize(spec)
 	if err != nil {
 		return Result{Spec: spec, Switches: -1, Err: err.Error()}
 	}
-	return MeasureContext(ctx, spec, rel)
+	return Measure(ctx, spec, rel)
 }
 
 // Measure runs the spec's algorithm against an already-materialized
-// relation.
-func Measure(spec Spec, rel *relation.Relation) Result {
-	//hyfdvet:allow ctxflow — no-context compat shim; the context variant is the primary API
-	return MeasureContext(context.Background(), spec, rel)
-}
-
-// MeasureContext is Measure under a caller context. A run aborted by the
-// context reports TimedOut with the elapsed time instead of an FD count.
-func MeasureContext(ctx context.Context, spec Spec, rel *relation.Relation) Result {
+// relation. A run aborted by ctx reports TimedOut with the elapsed time
+// instead of an FD count.
+func Measure(ctx context.Context, spec Spec, rel *relation.Relation) Result {
 	res := Result{Spec: spec, Switches: -1}
 
 	runtime.GC()
@@ -253,7 +240,10 @@ func MeasureContext(ctx context.Context, spec Spec, rel *relation.Relation) Resu
 			d, err := dataset.Prepare(ctx, baseRel, dataset.Options{Threads: threads})
 			if err == nil {
 				incBase = d
-				incCover, _, err = core.DiscoverDataset(ctx, d, core.Config{Threads: threads})
+				var cover *core.Result
+				if cover, err = core.Discover(ctx, core.Input{Dataset: d}, core.Config{Threads: threads}, nil); err == nil {
+					incCover = cover.FDs
+				}
 			}
 			res.PrepSeconds = time.Since(prepStart).Seconds()
 			if err != nil {
@@ -321,55 +311,33 @@ func MeasureContext(ctx context.Context, spec Spec, rel *relation.Relation) Resu
 			MaxLhsSize:          spec.MaxLhs,
 			Metrics:             reg,
 		}
+		in := core.Input{Relation: rel}
+		if spec.Warm {
+			in = core.Input{Dataset: ds}
+		}
+		var ranking *core.Ranking
 		if spec.TopK > 0 {
-			var (
-				ranked []rank.FD
-				stats  *core.Stats
-				err    error
-			)
-			if spec.Warm {
-				ranked, stats, err = core.DiscoverRankedDataset(ctx, ds, cfg, spec.TopK, 0)
-			} else {
-				ranked, stats, err = core.DiscoverRanked(ctx, rel, cfg, spec.TopK, 0)
-			}
-			res.Seconds = time.Since(start).Seconds()
-			if err != nil {
-				setErr(err)
-			} else {
-				res.FDs = len(ranked)
-				res.Switches = stats.PhaseSwitches
-				res.Stats = stats
-				res.RankedDigest = rankedDigest(ranked)
-				if reg != nil {
-					snap := reg.Snapshot()
-					res.Metrics = &snap
-				}
-			}
+			ranking = &core.Ranking{TopK: spec.TopK}
+		}
+		out, err := core.Discover(ctx, in, cfg, ranking)
+		res.Seconds = time.Since(start).Seconds()
+		if err != nil {
+			setErr(err)
 		} else {
-			var (
-				set   *fd.Set
-				stats *core.Stats
-				err   error
-			)
-			if spec.Warm {
-				set, stats, err = core.DiscoverDataset(ctx, ds, cfg)
+			res.Switches = out.Stats.PhaseSwitches
+			res.Stats = out.Stats
+			if ranking != nil {
+				res.FDs = len(out.Ranked)
+				res.RankedDigest = rankedDigest(out.Ranked)
 			} else {
-				set, stats, err = core.Discover(ctx, rel, cfg)
-			}
-			res.Seconds = time.Since(start).Seconds()
-			if err != nil {
-				setErr(err)
-			} else {
-				res.FDs = set.Size()
-				res.Switches = stats.PhaseSwitches
-				res.Stats = stats
+				res.FDs = out.FDs.Size()
 				if spec.Digest {
-					res.CoverDigest = coverDigest(set)
+					res.CoverDigest = coverDigest(out.FDs)
 				}
-				if reg != nil {
-					snap := reg.Snapshot()
-					res.Metrics = &snap
-				}
+			}
+			if reg != nil {
+				snap := reg.Snapshot()
+				res.Metrics = &snap
 			}
 		}
 	} else {
@@ -377,15 +345,13 @@ func MeasureContext(ctx context.Context, spec Spec, rel *relation.Relation) Resu
 		if !ok {
 			res.Err = fmt.Sprintf("unknown algorithm %q", spec.Algorithm)
 		} else {
-			cfg := algorithms.Config{MaxLhsSize: spec.MaxLhs}
-			var (
-				set *fd.Set
-				err error
-			)
-			if spec.Warm {
-				set, err = alg.Discover(ctx, ds, cfg)
-			} else {
-				set, err = algorithms.DiscoverRelation(ctx, alg, rel, cfg)
+			var err error
+			if !spec.Warm {
+				ds, err = dataset.Prepare(ctx, rel, dataset.Options{Threads: 1})
+			}
+			var set *fd.Set
+			if err == nil {
+				set, err = alg.Discover(ctx, ds, algorithms.Config{MaxLhsSize: spec.MaxLhs})
 			}
 			res.Seconds = time.Since(start).Seconds()
 			if err != nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestExecuteInProcessHyFD(t *testing.T) {
-	res := ExecuteInProcess(Spec{Algorithm: HyFDName, Dataset: "ncvoter", Rows: 300})
+	res := ExecuteInProcess(context.Background(), Spec{Algorithm: HyFDName, Dataset: "ncvoter", Rows: 300})
 	if res.Err != "" {
 		t.Fatalf("err: %s", res.Err)
 	}
@@ -24,11 +25,11 @@ func TestExecuteInProcessHyFD(t *testing.T) {
 
 func TestExecuteInProcessBaselineMatchesHyFD(t *testing.T) {
 	for _, alg := range []string{"Tane", "Fdep"} {
-		res := ExecuteInProcess(Spec{Algorithm: alg, Dataset: "iris", Rows: 150})
+		res := ExecuteInProcess(context.Background(), Spec{Algorithm: alg, Dataset: "iris", Rows: 150})
 		if res.Err != "" {
 			t.Fatalf("%s err: %s", alg, res.Err)
 		}
-		hy := ExecuteInProcess(Spec{Algorithm: HyFDName, Dataset: "iris", Rows: 150})
+		hy := ExecuteInProcess(context.Background(), Spec{Algorithm: HyFDName, Dataset: "iris", Rows: 150})
 		if res.FDs != hy.FDs {
 			t.Fatalf("%s found %d FDs, HyFD %d", alg, res.FDs, hy.FDs)
 		}
@@ -36,10 +37,10 @@ func TestExecuteInProcessBaselineMatchesHyFD(t *testing.T) {
 }
 
 func TestExecuteInProcessErrors(t *testing.T) {
-	if res := ExecuteInProcess(Spec{Algorithm: HyFDName, Dataset: "nope"}); res.Err == "" {
+	if res := ExecuteInProcess(context.Background(), Spec{Algorithm: HyFDName, Dataset: "nope"}); res.Err == "" {
 		t.Fatal("unknown dataset accepted")
 	}
-	if res := ExecuteInProcess(Spec{Algorithm: "NoAlg", Dataset: "iris"}); res.Err == "" {
+	if res := ExecuteInProcess(context.Background(), Spec{Algorithm: "NoAlg", Dataset: "iris"}); res.Err == "" {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -61,14 +62,14 @@ func TestMaterializeCapsRowsAndCols(t *testing.T) {
 // its exactness contract: the maintained cover's digest equals the cold
 // run's over the same final relation.
 func TestIncrementalMeasurement(t *testing.T) {
-	cold := ExecuteInProcess(Spec{Algorithm: HyFDName, Dataset: "bridges", Rows: 300, Threads: 1, Digest: true})
+	cold := ExecuteInProcess(context.Background(), Spec{Algorithm: HyFDName, Dataset: "bridges", Rows: 300, Threads: 1, Digest: true})
 	if cold.Err != "" {
 		t.Fatalf("cold run: %s", cold.Err)
 	}
 	if cold.CoverDigest == "" {
 		t.Fatal("Digest spec produced no cover digest")
 	}
-	inc := ExecuteInProcess(Spec{Algorithm: HyFDName, Dataset: "bridges", Rows: 300, Threads: 1,
+	inc := ExecuteInProcess(context.Background(), Spec{Algorithm: HyFDName, Dataset: "bridges", Rows: 300, Threads: 1,
 		DeltaRows: 3, Incremental: true, Digest: true})
 	if inc.Err != "" {
 		t.Fatalf("incremental run: %s", inc.Err)
@@ -80,7 +81,7 @@ func TestIncrementalMeasurement(t *testing.T) {
 	if inc.PrepSeconds <= 0 {
 		t.Fatal("incremental run did not report the excluded base cost")
 	}
-	if bad := ExecuteInProcess(Spec{Algorithm: HyFDName, Dataset: "bridges", Rows: 300,
+	if bad := ExecuteInProcess(context.Background(), Spec{Algorithm: HyFDName, Dataset: "bridges", Rows: 300,
 		Incremental: true}); bad.Err == "" {
 		t.Fatal("incremental spec without delta_rows accepted")
 	}
@@ -148,7 +149,7 @@ func TestMeasureOnCustomRelation(t *testing.T) {
 	rel := relation.New("tiny", []string{"A", "B"})
 	rel.AppendRow([]string{"1", "1"})
 	rel.AppendRow([]string{"1", "1"})
-	res := Measure(Spec{Algorithm: "Fdep", Dataset: "tiny"}, rel)
+	res := Measure(context.Background(), Spec{Algorithm: "Fdep", Dataset: "tiny"}, rel)
 	if res.Err != "" || res.FDs != 2 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -171,7 +172,7 @@ func TestMaterializeScalesPastNaturalSize(t *testing.T) {
 }
 
 func TestPrepOnlyMeasuresPreprocessing(t *testing.T) {
-	res := ExecuteInProcess(Spec{
+	res := ExecuteInProcess(context.Background(), Spec{
 		Algorithm: HyFDName, Dataset: "uniprot",
 		Rows: 300, Cols: 16, Threads: 4, PrepOnly: true,
 	})

@@ -43,6 +43,7 @@ package incremental
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -136,16 +137,18 @@ func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Conf
 		seeds := touchedSets(prov.DeletedRecords, m)
 		stats.DeleteSeeds = len(seeds)
 		for _, t := range seeds {
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
 			for rhs := 0; rhs < m; rhs++ {
+				if err := ctx.Err(); err != nil {
+					return nil, stats, interrupted(err)
+				}
 				top := t
 				if t.Test(rhs) {
 					top = t.Without(rhs)
 				}
 				if w.valid(top, rhs) {
-					w.generalize(top, rhs)
+					if err := w.generalize(ctx, top, rhs); err != nil {
+						return nil, stats, interrupted(err)
+					}
 				}
 			}
 		}
@@ -170,7 +173,7 @@ func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Conf
 		stats.Breakable = len(breakable)
 		w.checkBatch(unchecked, threads)
 		if err := ctx.Err(); err != nil {
-			return nil, stats, err
+			return nil, stats, interrupted(err)
 		}
 
 		var queue []fd.FD
@@ -189,7 +192,7 @@ func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Conf
 		// per lattice edge.
 		for len(queue) > 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, stats, err
+				return nil, stats, interrupted(err)
 			}
 			f := queue[0]
 			queue = queue[1:]
@@ -351,30 +354,47 @@ func deltaViolations(ix *pli.Index, from int) []bitset.Set {
 // generalize descends from the valid candidate lhs→rhs to its minimal valid
 // generalizations and adds them to the cover. Validity is upward-closed, so
 // recursing through every valid direct generalization reaches exactly the
-// minimal valid subsets.
-func (w *worker) generalize(lhs bitset.Set, rhs int) {
+// minimal valid subsets. The descent can visit exponentially many subsets,
+// so ctx is checked before every step; a canceled context unwinds the
+// recursion and returns ctx.Err().
+func (w *worker) generalize(ctx context.Context, lhs bitset.Set, rhs int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if w.descended == nil {
 		w.descended = make(map[string]bool)
 	}
 	k := fdKey(lhs, rhs)
 	if w.descended[k] {
-		return
+		return nil
 	}
 	w.descended[k] = true
 	anyValid := false
+	var err error
 	lhs.ForEach(func(b int) bool {
 		g := lhs.Without(b)
 		if w.valid(g, rhs) {
 			anyValid = true
-			w.generalize(g, rhs)
+			err = w.generalize(ctx, g, rhs)
 		}
-		return true
+		return err == nil
 	})
+	if err != nil {
+		return err
+	}
 	if !anyValid && !w.tree.FindFdOrGeneral(lhs, rhs) {
 		if w.tree.Add(lhs, rhs) {
 			w.stats.Generalized++
 		}
 	}
+	return nil
+}
+
+// interrupted wraps a context error into maintenance's error contract;
+// errors.Is(err, context.Canceled) and errors.Is(err,
+// context.DeadlineExceeded) keep working on the result.
+func interrupted(err error) error {
+	return fmt.Errorf("incremental: maintenance interrupted: %w", err)
 }
 
 // checkBatch validates insert-phase candidates concurrently with the

@@ -2,12 +2,16 @@ package incremental
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"hyfd/internal/core"
 	"hyfd/internal/dataset"
+	"hyfd/internal/datasets"
+	"hyfd/internal/fd"
 	"hyfd/internal/relation"
 	"hyfd/internal/trace"
 )
@@ -84,7 +88,7 @@ func TestMaintainMatchesColdDiscovery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Prepare: %v", err)
 				}
-				base, _, err := core.DiscoverDataset(context.Background(), ds, core.Config{Threads: threads})
+				base, err := discover(ds, threads)
 				if err != nil {
 					t.Fatalf("base discovery: %v", err)
 				}
@@ -98,7 +102,7 @@ func TestMaintainMatchesColdDiscovery(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Maintain: %v", err)
 					}
-					want, _, err := core.DiscoverDataset(context.Background(), next, core.Config{Threads: threads})
+					want, err := discover(next, threads)
 					if err != nil {
 						t.Fatalf("cold discovery: %v", err)
 					}
@@ -122,7 +126,7 @@ func TestMaintainThreadCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	base, _, err := core.DiscoverDataset(context.Background(), ds, core.Config{Threads: 1})
+	base, err := discover(ds, 1)
 	if err != nil {
 		t.Fatalf("base discovery: %v", err)
 	}
@@ -157,7 +161,7 @@ func TestMaintainEmitsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	base, _, err := core.DiscoverDataset(context.Background(), ds, core.Config{Threads: 1})
+	base, err := discover(ds, 1)
 	if err != nil {
 		t.Fatalf("base discovery: %v", err)
 	}
@@ -199,11 +203,57 @@ func TestMaintainRejectsNonDelta(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	base, _, err := core.DiscoverDataset(context.Background(), ds, core.Config{Threads: 1})
+	base, err := discover(ds, 1)
 	if err != nil {
 		t.Fatalf("base discovery: %v", err)
 	}
 	if _, _, err := Maintain(context.Background(), ds, base, Config{}); err != ErrNotDelta {
 		t.Errorf("Maintain on a root snapshot: err = %v, want ErrNotDelta", err)
+	}
+}
+
+// discover returns the cover of a warm full discovery over ds.
+func discover(ds *dataset.Dataset, threads int) (*fd.Set, error) {
+	res, err := core.Discover(context.Background(), core.Input{Dataset: ds}, core.Config{Threads: threads}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.FDs, nil
+}
+
+// TestMaintainDeleteHonorsCancel cancels a 2-row delete on the 4k-row
+// ncvoter analog shortly after it starts. The delete phase's generalization
+// descent runs for many seconds on this input, so the call must notice the
+// cancellation inside the descent and return the wrapped context error
+// promptly.
+func TestMaintainDeleteHonorsCancel(t *testing.T) {
+	d, err := datasets.ByName("ncvoter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := d.Generate(4000 / float64(d.Rows))
+	ds, err := dataset.Prepare(context.Background(), rel, dataset.Options{Threads: 1})
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	base, err := discover(ds, 1)
+	if err != nil {
+		t.Fatalf("base discovery: %v", err)
+	}
+	next, err := ds.Apply(context.Background(), dataset.Delta{Deletes: []relation.Row{rel.Rows[0], rel.Rows[1]}})
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(100*time.Millisecond, cancel)
+	defer timer.Stop()
+	start := time.Now()
+	_, _, err = Maintain(ctx, next, base, Config{Threads: 1})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Maintain err = %v, want context.Canceled", err)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("Maintain returned %v after its start, want within 2s of a cancel at 100ms", elapsed)
 	}
 }

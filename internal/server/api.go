@@ -2,19 +2,29 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
 	"hyfd/internal/tracing"
 )
 
+// maxBodyBytes caps every request body. The largest legitimate bodies are
+// inline-CSV registrations and delta batches, which stay far below it; the
+// cap bounds what one request can make the daemon buffer.
+const maxBodyBytes = 64 << 20
+
 // decodeJSON strictly parses the request body into v: unknown fields and
 // trailing garbage are 400s, so client typos fail loudly instead of being
-// silently ignored.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// silently ignored, and a body over maxBodyBytes is a 413.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("%w: limit is %d bytes", ErrBodyTooLarge, tooLarge.Limit)
+		}
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if dec.More() {
@@ -26,7 +36,7 @@ func decodeJSON(r *http.Request, v any) error {
 // handleDatasetCreate registers a dataset: POST /v1/datasets.
 func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 	var req DatasetRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -58,7 +68,7 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 // Retry-After, the same contract as job admission.
 func (s *Server) handleDatasetDelta(w http.ResponseWriter, r *http.Request) {
 	var req DeltaRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -113,7 +123,7 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 // it outlives this POST.
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}

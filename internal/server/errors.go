@@ -32,6 +32,8 @@ var (
 	ErrShuttingDown = errors.New("server shutting down")
 	// ErrBadRequest wraps malformed or invalid request payloads (400).
 	ErrBadRequest = errors.New("bad request")
+	// ErrBodyTooLarge: the request body exceeds maxBodyBytes (413).
+	ErrBodyTooLarge = errors.New("request body too large")
 	// ErrNoTrace: the job exists but has no flight recorder because the
 	// server runs with tracing disabled (404).
 	ErrNoTrace = errors.New("no trace")
@@ -53,6 +55,8 @@ func StatusFor(err error) int {
 		errors.Is(err, incremental.ErrNotDelta),
 		errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest
+	case errors.Is(err, ErrBodyTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrUnknownDataset), errors.Is(err, ErrUnknownJob),
 		errors.Is(err, ErrNoTrace):
 		return http.StatusNotFound

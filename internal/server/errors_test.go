@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"hyfd"
@@ -24,6 +26,7 @@ func TestStatusForTable(t *testing.T) {
 	}{
 		{"nil", nil, http.StatusOK},
 		{"bad request", ErrBadRequest, http.StatusBadRequest},
+		{"body too large", ErrBodyTooLarge, http.StatusRequestEntityTooLarge},
 		{"unknown algorithm", hyfd.ErrUnknownAlgorithm, http.StatusBadRequest},
 		{"unknown mode", hyfd.ErrUnknownMode, http.StatusBadRequest},
 		{"unknown dataset", ErrUnknownDataset, http.StatusNotFound},
@@ -59,7 +62,7 @@ func TestStatusForTable(t *testing.T) {
 func TestStatusForCoversAllSentinels(t *testing.T) {
 	sentinels := []error{
 		ErrUnknownDataset, ErrDatasetExists, ErrUnknownJob,
-		ErrQueueFull, ErrShuttingDown, ErrBadRequest,
+		ErrQueueFull, ErrShuttingDown, ErrBadRequest, ErrBodyTooLarge,
 	}
 	for _, s := range sentinels {
 		if StatusFor(s) == http.StatusInternalServerError {
@@ -102,5 +105,41 @@ func TestWriteErrorEnvelope(t *testing.T) {
 		if !tc.retryAfter && rec.Header().Get("Retry-After") != "" {
 			t.Fatalf("%v: unexpected Retry-After", tc.err)
 		}
+	}
+}
+
+// fillReader yields an endless stream of one byte.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodyIs413: a registration whose body exceeds maxBodyBytes is
+// refused with 413 and the JSON error envelope, and nothing is registered.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := io.MultiReader(
+		strings.NewReader(`{"name":"big","csv":"`),
+		io.LimitReader(fillReader('a'), maxBodyBytes),
+		strings.NewReader(`"}`),
+	)
+	resp, err := http.Post(ts.URL+"/v1/datasets", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var envelope errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+		t.Fatalf("body not a JSON envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || envelope.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, envelope %+v; want 413", resp.StatusCode, envelope)
+	}
+	if code, data := do(t, "GET", ts.URL+"/v1/datasets/big", ""); code != http.StatusNotFound {
+		t.Fatalf("oversized registration left a dataset behind: %d %s", code, data)
 	}
 }

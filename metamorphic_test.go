@@ -48,7 +48,7 @@ func metamorphicRelation(rows int, seed int64) *hyfd.Relation {
 // on error.
 func discoverSet(t *testing.T, alg string, rel *hyfd.Relation, ns hyfd.NullSemantics) *hyfd.FDSet {
 	t.Helper()
-	res, err := hyfd.DiscoverWith(alg, rel, hyfd.Options{NullSemantics: ns, Threads: 1})
+	res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: alg, Options: hyfd.Options{NullSemantics: ns, Threads: 1}})
 	if err != nil {
 		t.Fatalf("%s: %v", alg, err)
 	}
@@ -254,7 +254,7 @@ func maintainChain(t *testing.T, rel *hyfd.Relation, deltas []hyfd.Delta, ns hyf
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	base, err := hyfd.Discover(rel, hyfd.Options{NullSemantics: ns, Threads: threads})
+	base, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Options: hyfd.Options{NullSemantics: ns, Threads: threads}})
 	if err != nil {
 		t.Fatalf("base discover: %v", err)
 	}
@@ -297,7 +297,7 @@ func TestMetamorphicIncrementalRoundTrip(t *testing.T) {
 	rel := metamorphicRelation(50, 707)
 	ins := metamorphicInsertRows(6, 808)
 	forEachNullSemantics(t, func(t *testing.T, ns hyfd.NullSemantics) {
-		base, err := hyfd.Discover(rel, hyfd.Options{NullSemantics: ns, Threads: 1})
+		base, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Options: hyfd.Options{NullSemantics: ns, Threads: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestMetamorphicIncrementalBatchOrderInvariance(t *testing.T) {
 		final.AppendRow(row)
 	}
 	forEachNullSemantics(t, func(t *testing.T, ns hyfd.NullSemantics) {
-		cold, err := hyfd.Discover(final, hyfd.Options{NullSemantics: ns, Threads: 1})
+		cold, err := hyfd.Run(context.Background(), hyfd.Request{Relation: final, Options: hyfd.Options{NullSemantics: ns, Threads: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

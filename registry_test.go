@@ -10,21 +10,21 @@ import (
 )
 
 // TestRegistryRoundTrip drives every name reported by Algorithms() through
-// DiscoverWithContext on a small relation: each registered algorithm must
-// dispatch, complete, and agree with HyFD's FD set, and an unregistered
-// name must fail with ErrUnknownAlgorithm.
+// Run on a small relation: each registered algorithm must dispatch,
+// complete, and agree with HyFD's FD set, and an unregistered name must
+// fail with ErrUnknownAlgorithm.
 func TestRegistryRoundTrip(t *testing.T) {
 	rel, err := hyfd.ReadCSV("class", strings.NewReader(classCSV()), hyfd.CSVOptions{HasHeader: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := hyfd.DiscoverContext(context.Background(), rel, hyfd.Options{})
+	want, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range hyfd.Algorithms() {
 		t.Run(name, func(t *testing.T) {
-			got, err := hyfd.DiscoverWithContext(context.Background(), name, rel, hyfd.Options{})
+			got, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: name})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,11 +38,11 @@ func TestRegistryRoundTrip(t *testing.T) {
 		})
 	}
 	t.Run("unknown", func(t *testing.T) {
-		_, err := hyfd.DiscoverWithContext(context.Background(), "NoSuchAlgorithm", rel, hyfd.Options{})
+		_, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: "NoSuchAlgorithm"})
 		if !errors.Is(err, hyfd.ErrUnknownAlgorithm) {
 			t.Fatalf("err = %v, want ErrUnknownAlgorithm", err)
 		}
-		_, err = hyfd.DiscoverWith("NoSuchAlgorithm", rel, hyfd.Options{})
+		_, err = hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: "NoSuchAlgorithm"})
 		if !errors.Is(err, hyfd.ErrUnknownAlgorithm) {
 			t.Fatalf("no-context err = %v, want ErrUnknownAlgorithm", err)
 		}

@@ -10,7 +10,6 @@ import (
 	"hyfd/internal/afd"
 	"hyfd/internal/algorithms"
 	"hyfd/internal/core"
-	"hyfd/internal/fd"
 	"hyfd/internal/incremental"
 	"hyfd/internal/metrics"
 	"hyfd/internal/trace"
@@ -98,20 +97,24 @@ type Request struct {
 	// result over that snapshot.
 	Base *FDSet
 	// Options carries the per-run tuning shared by all modes: MaxLhsSize
-	// bounds LHS/UCC sizes everywhere; Threads, EfficiencyThreshold,
-	// MemoryBudgetBytes, Observer, and Metrics apply to the HyFD engine.
+	// bounds LHS/UCC sizes everywhere; EfficiencyThreshold and
+	// MemoryBudgetBytes apply to the HyFD engine; Threads, Observer, and
+	// Metrics apply to the HyFD engine, incremental maintenance, and the
+	// preprocessing of every cold run.
 	Options Options
 }
 
 // Run executes one discovery request under the given context — the single
-// entry point that subsumes the Discover* family. The context is honored in
-// every mode: cancellation or a deadline aborts the run promptly with an
-// error wrapping ctx.Err().
+// entry point of the package. The context is honored in every mode:
+// cancellation or a deadline aborts the run promptly with an error wrapping
+// ctx.Err().
 //
-// The result carries FDs/Set (ModeFD), AFDs (ModeAFD), or UCCs (ModeUCC),
-// plus Stats in every mode. Results are bit-for-bit deterministic for every
-// thread count, and a warm run (Request.Dataset) returns results identical
-// to a cold run (Request.Relation) on the same data.
+// The result carries FDs/Set (ModeFD), AFDs (ModeAFD), UCCs (ModeUCC),
+// Ranked (ModeRanked), or FDs/Set plus the advanced Dataset
+// (ModeIncremental), and Stats in every mode. Results are bit-for-bit
+// deterministic for every thread count, and a warm run (Request.Dataset)
+// returns results identical to a cold run (Request.Relation) on the same
+// data.
 func Run(ctx context.Context, req Request) (*Result, error) {
 	mode, err := ParseMode(string(req.Mode))
 	if err != nil {
@@ -122,6 +125,10 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	}
 	if req.Dataset != nil && req.Relation != nil {
 		return nil, errors.New("hyfd: request must set exactly one of Dataset and Relation")
+	}
+	if mode != ModeFD && req.Algorithm != "" {
+		return nil, fmt.Errorf("hyfd: %w %q (mode %q has a single built-in strategy; leave Algorithm empty)",
+			ErrUnknownAlgorithm, req.Algorithm, mode)
 	}
 	switch mode {
 	case ModeFD:
@@ -144,10 +151,6 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 // cold full run over the new snapshot, at every thread count; Result.Dataset
 // carries the new snapshot for the next increment.
 func runIncremental(ctx context.Context, req Request) (*Result, error) {
-	if req.Algorithm != "" {
-		return nil, fmt.Errorf("hyfd: %w %q (mode %q has a single built-in strategy; leave Algorithm empty)",
-			ErrUnknownAlgorithm, req.Algorithm, ModeIncremental)
-	}
 	if req.Dataset == nil {
 		return nil, errors.New("hyfd: ModeIncremental needs a prepared Dataset (set Request.Dataset, not Relation)")
 	}
@@ -204,89 +207,40 @@ func runIncremental(ctx context.Context, req Request) (*Result, error) {
 	return &Result{FDs: set.All(), Set: set, Dataset: snap, Stats: stats}, nil
 }
 
-// runFD dispatches exact FD discovery: the HyFD engine or a named baseline,
-// cold (Relation) or warm (Dataset).
+// runFD dispatches exact FD discovery: the HyFD engine or a named baseline.
 func runFD(ctx context.Context, req Request) (*Result, error) {
-	opts := req.Options
-	algorithm := req.Algorithm
-	if algorithm == "" {
-		algorithm = AlgorithmHyFD
+	if req.Algorithm != "" && req.Algorithm != AlgorithmHyFD {
+		return runBaseline(ctx, req)
 	}
-	if algorithm == AlgorithmHyFD {
-		var (
-			set   *FDSet
-			stats *Stats
-			err   error
-		)
-		if req.Dataset != nil {
-			set, stats, err = core.DiscoverDataset(ctx, req.Dataset, core.Config{
-				EfficiencyThreshold: opts.EfficiencyThreshold,
-				Threads:             opts.Threads,
-				MaxLhsSize:          opts.MaxLhsSize,
-				MemoryBudgetBytes:   opts.MemoryBudgetBytes,
-				Observer:            opts.Observer,
-				Metrics:             opts.Metrics,
-			})
-		} else {
-			set, stats, err = core.Discover(ctx, req.Relation, core.Config{
-				NullSemantics:       opts.NullSemantics,
-				EfficiencyThreshold: opts.EfficiencyThreshold,
-				Threads:             opts.Threads,
-				MaxLhsSize:          opts.MaxLhsSize,
-				MemoryBudgetBytes:   opts.MemoryBudgetBytes,
-				Observer:            opts.Observer,
-				Metrics:             opts.Metrics,
-			})
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Result{FDs: set.All(), Set: set, Stats: stats}, nil
-	}
-	alg, ok := registry[algorithm]
-	if !ok {
-		return nil, fmt.Errorf("hyfd: %w %q (available: %v)", ErrUnknownAlgorithm, algorithm, Algorithms())
-	}
-	start := time.Now()
-	var (
-		set *fd.Set
-		err error
-	)
-	if req.Dataset != nil {
-		set, err = alg.Discover(ctx, req.Dataset, algorithms.Config{MaxLhsSize: opts.MaxLhsSize})
-		if err != nil {
-			return nil, err
-		}
-		return baselineResult(set, req.Dataset.NumRows(), req.Dataset.NumCols(), opts.MaxLhsSize, true, time.Since(start)), nil
-	}
-	set, err = algorithms.DiscoverRelation(ctx, alg, req.Relation, algorithms.Config{
-		NullSemantics: opts.NullSemantics,
-		MaxLhsSize:    opts.MaxLhsSize,
-	})
+	res, err := core.Discover(ctx, core.Input{Relation: req.Relation, Dataset: req.Dataset}, engineConfig(req.Options), nil)
 	if err != nil {
 		return nil, err
 	}
-	return baselineResult(set, req.Relation.NumRows(), req.Relation.NumCols(), opts.MaxLhsSize, false, time.Since(start)), nil
+	return &Result{FDs: res.FDs.All(), Set: res.FDs, Stats: res.Stats}, nil
 }
 
-// runRanked dispatches ranked top-k FD discovery. Only the HyFD engine
-// supports the ranked cut, so a non-empty Algorithm is rejected. The result
-// carries Ranked (score order, ranks assigned) plus Stats; Stats.Complete
-// is false when the run cut the lattice early — the results are still the
-// exact top-k of the full cover.
+// runRanked dispatches ranked top-k FD discovery over the HyFD engine. The
+// result carries Ranked (score order, ranks assigned) plus Stats;
+// Stats.Complete is false when the run cut the lattice early — the results
+// are still the exact top-k of the full cover.
 func runRanked(ctx context.Context, req Request) (*Result, error) {
-	if req.Algorithm != "" {
-		return nil, fmt.Errorf("hyfd: %w %q (mode %q has a single built-in strategy; leave Algorithm empty)",
-			ErrUnknownAlgorithm, req.Algorithm, ModeRanked)
-	}
 	if req.TopK < 0 {
 		return nil, fmt.Errorf("hyfd: invalid TopK %d: must be >= 0", req.TopK)
 	}
 	if req.MinScore < 0 {
 		return nil, fmt.Errorf("hyfd: invalid MinScore %g: must be >= 0", req.MinScore)
 	}
-	opts := req.Options
-	cfg := core.Config{
+	res, err := core.Discover(ctx, core.Input{Relation: req.Relation, Dataset: req.Dataset}, engineConfig(req.Options),
+		&core.Ranking{TopK: req.TopK, MinScore: req.MinScore})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Ranked: res.Ranked, Stats: res.Stats}, nil
+}
+
+// engineConfig maps the per-run options onto the HyFD engine's Config.
+func engineConfig(opts Options) core.Config {
+	return core.Config{
 		NullSemantics:       opts.NullSemantics,
 		EfficiencyThreshold: opts.EfficiencyThreshold,
 		Threads:             opts.Threads,
@@ -295,34 +249,39 @@ func runRanked(ctx context.Context, req Request) (*Result, error) {
 		Observer:            opts.Observer,
 		Metrics:             opts.Metrics,
 	}
-	var (
-		ranked []RankedFD
-		stats  *Stats
-		err    error
-	)
-	if req.Dataset != nil {
-		ranked, stats, err = core.DiscoverRankedDataset(ctx, req.Dataset, cfg, req.TopK, req.MinScore)
-	} else {
-		ranked, stats, err = core.DiscoverRanked(ctx, req.Relation, cfg, req.TopK, req.MinScore)
+}
+
+// runBaseline runs a named baseline algorithm over the request's Dataset,
+// preparing the Relation first for cold runs. The baselines don't report the
+// engine's per-phase telemetry, so only the dimensional and outcome Stats
+// fields are populated; TotalTime includes a cold run's preprocessing.
+func runBaseline(ctx context.Context, req Request) (*Result, error) {
+	alg, ok := registry[req.Algorithm]
+	if !ok {
+		return nil, fmt.Errorf("hyfd: %w %q (available: %v)", ErrUnknownAlgorithm, req.Algorithm, Algorithms())
 	}
+	start := time.Now()
+	ds, warm, err := requestDataset(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Ranked: ranked, Stats: stats}, nil
+	set, err := alg.Discover(ctx, ds, algorithms.Config{MaxLhsSize: req.Options.MaxLhsSize})
+	if err != nil {
+		return nil, err
+	}
+	stats := auxiliaryStats(ds, req.Options.MaxLhsSize, warm, time.Since(start))
+	stats.FDCount = set.Size()
+	return &Result{FDs: set.All(), Set: set, Stats: stats}, nil
 }
 
 // runAFD dispatches approximate FD discovery (g3 ≤ Request.MaxError).
 func runAFD(ctx context.Context, req Request) (*Result, error) {
-	if req.Algorithm != "" {
-		return nil, fmt.Errorf("hyfd: %w %q (mode %q has a single built-in strategy; leave Algorithm empty)",
-			ErrUnknownAlgorithm, req.Algorithm, ModeAFD)
-	}
 	ds, warm, err := requestDataset(ctx, req)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	afds, err := afd.DiscoverDatasetContext(ctx, ds, afd.Options{
+	afds, err := afd.Discover(ctx, ds, afd.Options{
 		MaxError: req.MaxError,
 		MaxLhs:   req.Options.MaxLhsSize,
 	})
@@ -337,16 +296,12 @@ func runAFD(ctx context.Context, req Request) (*Result, error) {
 
 // runUCC dispatches unique column combination discovery.
 func runUCC(ctx context.Context, req Request) (*Result, error) {
-	if req.Algorithm != "" {
-		return nil, fmt.Errorf("hyfd: %w %q (mode %q has a single built-in strategy; leave Algorithm empty)",
-			ErrUnknownAlgorithm, req.Algorithm, ModeUCC)
-	}
 	ds, warm, err := requestDataset(ctx, req)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	uccs, err := ucc.DiscoverDatasetContext(ctx, ds, req.Options.MaxLhsSize)
+	uccs, err := ucc.Discover(ctx, ds, req.Options.MaxLhsSize)
 	if err != nil {
 		return nil, err
 	}
@@ -375,8 +330,9 @@ func requestDataset(ctx context.Context, req Request) (*Dataset, bool, error) {
 	return ds, false, nil
 }
 
-// auxiliaryStats assembles the Stats of an afd/ucc run: the dimensional and
-// outcome fields, without the HyFD engine's per-phase telemetry.
+// auxiliaryStats assembles the Stats of an afd/ucc/baseline run: the
+// dimensional and outcome fields, without the HyFD engine's per-phase
+// telemetry.
 func auxiliaryStats(ds *Dataset, maxLhsSize int, warm bool, total time.Duration) *Stats {
 	stats := &Stats{
 		Rows:      ds.NumRows(),
@@ -394,24 +350,4 @@ func auxiliaryStats(ds *Dataset, maxLhsSize int, warm bool, total time.Duration)
 		stats.Complete = false
 	}
 	return stats
-}
-
-// baselineResult assembles the Stats/Result pair of a baseline run; the
-// baselines don't report the engine's per-phase telemetry, so only the
-// dimensional and outcome fields are populated.
-func baselineResult(set *FDSet, rows, cols, maxLhsSize int, warm bool, total time.Duration) *Result {
-	stats := &Stats{
-		Rows:      rows,
-		Cols:      cols,
-		FDCount:   set.Size(),
-		MaxLhs:    cols,
-		Complete:  true,
-		Warm:      warm,
-		TotalTime: total,
-	}
-	if maxLhsSize > 0 {
-		stats.MaxLhs = maxLhsSize
-		stats.Complete = false
-	}
-	return &Result{FDs: set.All(), Set: set, Stats: stats}
 }
