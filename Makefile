@@ -17,12 +17,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus hyfdvet, the project's own static-analysis suite
-# (determinism, ctxflow, hooksafe, goroutine, bitsetalias, plus the
-# interprocedural tier: lockcheck, leakcheck, statusmap); any unsuppressed
-# finding fails the build, and -strict-allows additionally fails on
-# //hyfdvet:allow comments that no longer suppress anything.
+# lint runs go vet, a gofmt check (any file `gofmt -l .` lists fails it),
+# and hyfdvet, the project's own static-analysis suite (determinism,
+# ctxflow, hooksafe, goroutine, bitsetalias, plus the interprocedural tier:
+# lockcheck, leakcheck, statusmap); any unsuppressed finding fails the
+# build, and -strict-allows additionally fails on //hyfdvet:allow comments
+# that no longer suppress anything.
 lint: vet
+	test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
 	$(GO) run ./cmd/hyfdvet -strict-allows ./...
 
 # lint-json emits the same findings as one machine-readable document (CI

@@ -122,12 +122,12 @@ func main() {
 		MaxLhsSize:          *maxLhs,
 		MemoryBudgetBytes:   *memBudget << 20,
 	}
-	// Any observability flag arms the metrics registry: the HTTP endpoints
-	// and the JSON report read it directly, and -progress uses its counters
-	// to render cumulative rates. Setup precedes ingest so the ingest event
-	// below reaches the same sinks as the engine's own events.
+	// -metrics-addr and -stats-json arm the metrics registry: the HTTP
+	// endpoints and the JSON report read it directly. Setup precedes ingest
+	// so the ingest event below reaches the same sinks as the engine's own
+	// events.
 	var reg *hyfd.MetricsRegistry
-	if *metricsAddr != "" || *statsJSON != "" || *progress {
+	if *metricsAddr != "" || *statsJSON != "" {
 		reg = hyfd.NewMetricsRegistry()
 		opts.Metrics = reg
 	}
@@ -138,7 +138,7 @@ func main() {
 	}
 	em := metrics.NewEngineMetrics(reg)
 	if *progress {
-		opts.Observer = progressObserver(os.Stderr, em, time.Now())
+		opts.Observer = progressObserver(os.Stderr, time.Now())
 	}
 
 	csvOpts := hyfd.CSVOptions{
@@ -377,20 +377,16 @@ func writeStatsJSON(path, dataset, algorithm string, result *hyfd.Result, prep t
 }
 
 // progressObserver renders the engine's trace events as human-readable
-// progress lines. With an EngineMetrics handle it appends cumulative
-// throughput rates (comparisons/s after sampling rounds, validations/s
-// after validation levels) read from the same counters the engine updates.
-func progressObserver(w *os.File, em *metrics.EngineMetrics, start time.Time) hyfd.Observer {
-	var comparisons, validations *metrics.Counter
-	if em != nil {
-		comparisons, validations = em.Comparisons, em.Validations
-	}
-	rate := func(c *metrics.Counter, unit string) string {
+// progress lines, with cumulative throughput rates (comparisons/s after
+// sampling rounds, validations/s after validation levels) computed from the
+// run totals the events carry.
+func progressObserver(w *os.File, start time.Time) hyfd.Observer {
+	rate := func(total int64, unit string) string {
 		elapsed := time.Since(start).Seconds()
-		if c == nil || elapsed <= 0 {
+		if elapsed <= 0 {
 			return ""
 		}
-		return fmt.Sprintf(" (%s %s)", humanRate(float64(c.Value())/elapsed), unit)
+		return fmt.Sprintf(" (%s %s)", humanRate(float64(total)/elapsed), unit)
 	}
 	return hyfd.ObserverFunc(func(e hyfd.Event) {
 		switch ev := e.(type) {
@@ -407,13 +403,13 @@ func progressObserver(w *os.File, em *metrics.EngineMetrics, start time.Time) hy
 		case hyfd.SamplingRound:
 			fmt.Fprintf(w, "sampling round %d: %d new observations, %d comparisons (threshold %.4g) in %s%s\n",
 				ev.Round, ev.NewObservations, ev.Comparisons, ev.Threshold,
-				ev.Duration.Round(time.Millisecond), rate(comparisons, "cmp/s"))
+				ev.Duration.Round(time.Millisecond), rate(ev.Comparisons, "cmp/s"))
 		case hyfd.PhaseSwitch:
 			fmt.Fprintf(w, "phase switch #%d: %s -> %s\n", ev.Switches, ev.From, ev.To)
 		case hyfd.ValidationLevel:
 			fmt.Fprintf(w, "validation level %d: %d candidates, %d valid, %d invalid in %s%s\n",
 				ev.Level, ev.Candidates, ev.Valid, ev.Invalid,
-				ev.Duration.Round(time.Millisecond), rate(validations, "val/s"))
+				ev.Duration.Round(time.Millisecond), rate(ev.Validations, "val/s"))
 		case hyfd.GuardianPrune:
 			fmt.Fprintf(w, "memory guardian: results pruned to LHS size <= %d (intervention #%d)\n",
 				ev.MaxLhs, ev.Interventions)

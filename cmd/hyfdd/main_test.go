@@ -59,7 +59,7 @@ type jobView struct {
 	Status         string `json:"status"`
 	Error          string `json:"error"`
 	DatasetVersion int    `json:"dataset_version"`
-	Result *struct {
+	Result         *struct {
 		FDs    []string `json:"fds"`
 		AFDs   []string `json:"afds"`
 		UCCs   []string `json:"uccs"`

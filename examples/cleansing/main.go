@@ -77,19 +77,19 @@ func addressData(dirt bool) *hyfd.Relation {
 		name = "addresses-dirty"
 	}
 	rel := hyfd.NewRelation(name, []string{"Name", "Zip", "City"})
-	zips := map[string]string{
-		"14482": "Potsdam",
-		"10115": "Berlin",
-		"80331": "Munich",
-		"50667": "Cologne",
+	// A slice, not a map, so the row order — and the row numbers the
+	// violation report prints — are the same on every run.
+	zips := []struct{ zip, city string }{
+		{"14482", "Potsdam"},
+		{"10115", "Berlin"},
+		{"80331", "Munich"},
+		{"50667", "Cologne"},
 	}
 	names := []string{"ada", "bob", "cyn", "dee", "eli", "fay", "gus", "hal"}
-	i := 0
-	for zip, city := range zips {
+	for i, z := range zips {
 		for k := 0; k < 10; k++ {
-			rel.AppendRow([]string{names[(i+k)%len(names)], zip, city})
+			rel.AppendRow([]string{names[(i+k)%len(names)], z.zip, z.city})
 		}
-		i++
 	}
 	if dirt {
 		// Introduce inconsistencies: one mistyped city, one swapped zip.

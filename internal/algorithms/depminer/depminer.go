@@ -15,8 +15,8 @@ import (
 	"hyfd/internal/algorithms/agreeset"
 	"hyfd/internal/algorithms/hitset"
 	"hyfd/internal/bitset"
-	"hyfd/internal/fd"
 	"hyfd/internal/dataset"
+	"hyfd/internal/fd"
 )
 
 // DepMiner discovers FDs via maximal agree sets and minimal covers.

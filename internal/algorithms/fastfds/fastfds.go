@@ -14,8 +14,8 @@ import (
 	"hyfd/internal/algorithms"
 	"hyfd/internal/algorithms/agreeset"
 	"hyfd/internal/bitset"
-	"hyfd/internal/fd"
 	"hyfd/internal/dataset"
+	"hyfd/internal/fd"
 )
 
 // FastFDs discovers FDs via depth-first minimal cover search.

@@ -55,10 +55,9 @@ type Config struct {
 	// from the coordinating goroutine, in run order.
 	Observer trace.Observer
 	// Metrics, when non-nil, receives the run's quantitative telemetry as
-	// hyfd_* instrument families: trace events are bridged through an
-	// EngineMetrics observer, and the sampler, validator, and guardian get
-	// direct (batched) hooks for the quantities events can't carry. A nil
-	// registry costs one nil-check per batched update site.
+	// hyfd_* instrument families, written by an EngineMetrics observer that
+	// subscribes to the run's trace events next to Observer. A nil registry
+	// adds no observer.
 	Metrics *metrics.Registry
 
 	// Ablation switches. These disable individual HyFD design decisions so
@@ -215,8 +214,8 @@ func Discover(ctx context.Context, in Input, cfg Config, rk *Ranking) (*Result, 
 		}
 		return res, nil
 	}
-	em := metrics.NewEngineMetrics(cfg.Metrics) // nil registry → nil, all hooks no-ops
-	obs := trace.Multi(statsTimers{stats}, em.Observer(), cfg.Observer)
+	ext := trace.Multi(metrics.NewEngineMetrics(cfg.Metrics).Observer(), cfg.Observer)
+	obs := trace.Multi(statsTimers{stats}, ext)
 	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -226,7 +225,7 @@ func Discover(ctx context.Context, in Input, cfg Config, rk *Ranking) (*Result, 
 		// Preprocessor (Alg. 1). The relation was already validated above,
 		// so any error out of prepare is a context interruption.
 		var err error
-		if ds, err = prepare(ctx, in.Relation, cfg.NullSemantics, stats.Threads, obs, em); err != nil {
+		if ds, err = prepare(ctx, in.Relation, cfg.NullSemantics, stats.Threads, obs, ext != nil); err != nil {
 			return nil, interrupted(err)
 		}
 	} else {
@@ -236,16 +235,16 @@ func Discover(ctx context.Context, in Input, cfg Config, rk *Ranking) (*Result, 
 			Duration: time.Since(start),
 		})
 	}
-	return run(ctx, ds.Index(), cfg, rk, stats, obs, em, start)
+	return run(ctx, ds.Index(), cfg, rk, stats, obs, start)
 }
 
 // Prepare runs HyFD's preprocessing (Alg. 1: PLI construction + record
 // inversion) once over the relation and returns the immutable Dataset that
 // warm runs — Discover with Input.Dataset here, and every converted
 // baseline — consume. Observers registered in cfg receive the same PLIBuilt
-// (in attribute order), cluster-size metrics, and PreprocessingDone events a
-// cold Discover would emit. Only cfg.NullSemantics, cfg.Threads,
-// cfg.Observer, and cfg.Metrics are consulted.
+// (in attribute order) and PreprocessingDone events a cold Discover would
+// emit. Only cfg.NullSemantics, cfg.Threads, cfg.Observer, and cfg.Metrics
+// are consulted.
 func Prepare(ctx context.Context, rel *relation.Relation, cfg Config) (*dataset.Dataset, error) {
 	ctx = background(ctx)
 	if rel == nil {
@@ -254,9 +253,8 @@ func Prepare(ctx context.Context, rel *relation.Relation, cfg Config) (*dataset.
 	if err := rel.Validate(); err != nil {
 		return nil, err
 	}
-	em := metrics.NewEngineMetrics(cfg.Metrics)
-	obs := trace.Multi(em.Observer(), cfg.Observer)
-	ds, err := prepare(ctx, rel, cfg.NullSemantics, resolveThreads(cfg.Threads, runtime.GOMAXPROCS(0)), obs, em)
+	obs := trace.Multi(metrics.NewEngineMetrics(cfg.Metrics).Observer(), cfg.Observer)
+	ds, err := prepare(ctx, rel, cfg.NullSemantics, resolveThreads(cfg.Threads, runtime.GOMAXPROCS(0)), obs, obs != nil)
 	if err != nil {
 		return nil, interrupted(err)
 	}
@@ -292,8 +290,10 @@ type buildStat struct {
 // The build fans attributes over the worker pool; per-attribute timings land
 // in builds via disjoint slot writes, and the trace events replay them in
 // attribute order afterwards so observers keep their single-goroutine,
-// deterministic-order contract.
-func prepare(ctx context.Context, rel *relation.Relation, ns relation.NullSemantics, threads int, obs trace.Observer, em *metrics.EngineMetrics) (*dataset.Dataset, error) {
+// deterministic-order contract. clusterSizes fills PLIBuilt.ClusterSizes;
+// callers set it only when an observer beyond the engine's own Stats
+// bookkeeping listens.
+func prepare(ctx context.Context, rel *relation.Relation, ns relation.NullSemantics, threads int, obs trace.Observer, clusterSizes bool) (*dataset.Dataset, error) {
 	builds := make([]buildStat, rel.NumCols())
 	ds, err := dataset.Prepare(ctx, rel, dataset.Options{
 		NullSemantics: ns,
@@ -306,10 +306,15 @@ func prepare(ctx context.Context, rel *relation.Relation, ns relation.NullSemant
 		return nil, err
 	}
 	for attr, b := range builds {
-		trace.Emit(obs, trace.PLIBuilt{Attr: attr, Clusters: b.clusters, Duration: b.duration})
-	}
-	if em != nil {
-		ds.Index().ForEachClusterSize(func(size int) { em.PLIClusterSize.Observe(float64(size)) })
+		var sizes []int
+		if clusterSizes {
+			clusters := ds.Index().Plis[attr].Clusters
+			sizes = make([]int, len(clusters))
+			for i, c := range clusters {
+				sizes[i] = len(c)
+			}
+		}
+		trace.Emit(obs, trace.PLIBuilt{Attr: attr, Clusters: b.clusters, ClusterSizes: sizes, Duration: b.duration})
 	}
 	trace.Emit(obs, trace.PreprocessingDone{
 		Rows: rel.NumRows(), Cols: rel.NumCols(), Threads: threads, Duration: ds.PreprocessingTime(),
@@ -326,12 +331,11 @@ func prepare(ctx context.Context, rel *relation.Relation, ns relation.NullSemant
 // trace.RankedResult events; once k results are stable (or the bound falls
 // below MinScore) the level callback stops the validator mid-run and the
 // loop exits without touching the rest of the lattice.
-func run(ctx context.Context, ix *pli.Index, cfg Config, rk *Ranking, stats *Stats, obs trace.Observer, em *metrics.EngineMetrics, start time.Time) (*Result, error) {
+func run(ctx context.Context, ix *pli.Index, cfg Config, rk *Ranking, stats *Stats, obs trace.Observer, start time.Time) (*Result, error) {
 	smp := sampler.New(ix, sampler.Config{
-		Threshold:   cfg.EfficiencyThreshold,
-		Threads:     stats.Threads,
-		Unfocused:   cfg.UnfocusedSampling,
-		Instruments: em.Sampler(),
+		Threshold: cfg.EfficiencyThreshold,
+		Threads:   stats.Threads,
+		Unfocused: cfg.UnfocusedSampling,
 	})
 	ind := inductor.New(ix.NumCols)
 	if cfg.MaxLhsSize > 0 && cfg.MaxLhsSize < ix.NumCols {
@@ -341,7 +345,6 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, rk *Ranking, stats *Sta
 	vopts := []validator.Option{
 		validator.WithThreads(stats.Threads),
 		validator.WithObserver(obs),
-		validator.WithInstruments(em.Validator()),
 	}
 	var tracker *rank.Tracker
 	if rk != nil {
@@ -349,16 +352,13 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, rk *Ranking, stats *Sta
 		vopts = append(vopts, validator.WithLevelFunc(func(level int, valid []fd.FD) bool {
 			newly, cont := tracker.CompleteLevel(level, valid)
 			for _, e := range newly {
-				//hyfdvet:allow determinism — wall-clock telemetry only; never influences the ranking
-				elapsed := time.Since(start)
 				trace.Emit(obs, trace.RankedResult{
 					Rank: e.Rank, Score: e.Score,
 					Lhs: e.FD.Lhs.Indices(), Rhs: e.FD.Rhs,
-					Duration: elapsed,
+					TopK: rk.TopK,
+					//hyfdvet:allow determinism — wall-clock telemetry only; never influences the ranking
+					Duration: time.Since(start),
 				})
-				if em != nil && rk.TopK > 0 && e.Rank == rk.TopK {
-					em.RankedTimeToTopK.Observe(elapsed.Seconds())
-				}
 			}
 			return cont
 		}))
@@ -371,9 +371,6 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, rk *Ranking, stats *Sta
 	}
 	val := validator.New(ix, ind.Tree(), vopts...)
 	grd := guardian.New(ind.Tree(), cfg.MemoryBudgetBytes)
-	if em != nil {
-		grd.SetFootprintGauge(em.FDTreeBytes)
-	}
 	// checkGuardian runs the Guardian and reports any new intervention.
 	checkGuardian := func() {
 		before := grd.Interventions
@@ -399,11 +396,13 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, rk *Ranking, stats *Sta
 		ind.Update(newObs)
 		checkGuardian()
 		trace.Emit(obs, trace.SamplingRound{
-			Round:           stats.SamplingRounds,
-			NewObservations: len(newObs),
-			Comparisons:     smp.Comparisons,
-			Windows:         smp.Windows,
-			Threshold:       smp.Threshold(),
+			Round:              stats.SamplingRounds,
+			NewObservations:    len(newObs),
+			Comparisons:        smp.Comparisons,
+			Windows:            smp.Windows,
+			WindowEfficiencies: smp.WindowEfficiencies,
+			Threshold:          smp.Threshold(),
+			FootprintBytes:     grd.Footprint(),
 			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 			Duration: time.Since(roundStart),
 		})

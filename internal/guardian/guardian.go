@@ -5,16 +5,12 @@
 // intervenes and the discovery stays complete.
 package guardian
 
-import (
-	"hyfd/internal/fdtree"
-	"hyfd/internal/metrics"
-)
+import "hyfd/internal/fdtree"
 
 // Guardian watches one FDTree against a byte budget.
 type Guardian struct {
 	tree   *fdtree.Tree
 	budget int
-	gauge  *metrics.Gauge
 
 	// Pruned reports whether the Guardian ever discarded results; if true
 	// the final FD set is a best-effort subset (all FDs up to the final
@@ -29,22 +25,14 @@ func New(tree *fdtree.Tree, budget int) *Guardian {
 	return &Guardian{tree: tree, budget: budget}
 }
 
-// SetFootprintGauge attaches a gauge that tracks the tree's approximate
-// footprint in bytes, refreshed on every Check. A nil gauge is a no-op, and
-// the gauge works even when no budget is configured (budget <= 0), so the
-// footprint stays observable without enabling pruning.
-func (g *Guardian) SetFootprintGauge(gauge *metrics.Gauge) { g.gauge = gauge }
-
 // Check compares the tree's approximate footprint against the budget and,
 // while it is exceeded, lowers the maximum LHS size below the current
 // deepest result. Call it whenever the tree has grown (after induction and
 // validation rounds).
 func (g *Guardian) Check() {
-	g.gauge.Set(float64(g.tree.ApproxBytes()))
 	if g.budget <= 0 {
 		return
 	}
-	defer func() { g.gauge.Set(float64(g.tree.ApproxBytes())) }()
 	for g.tree.ApproxBytes() > g.budget {
 		d := g.tree.Depth()
 		if d <= 1 {
@@ -66,6 +54,6 @@ func (g *Guardian) Check() {
 func (g *Guardian) MaxLhs() int { return g.tree.MaxLhs() }
 
 // Footprint exposes the tree's current approximate footprint in bytes —
-// the same quantity Check compares against the budget (telemetry for
-// trace.GuardianPrune).
+// the same quantity Check compares against the budget (telemetry for the
+// engine's trace events).
 func (g *Guardian) Footprint() int64 { return int64(g.tree.ApproxBytes()) }

@@ -586,13 +586,13 @@ func DefaultServingOptions() ServingOptions {
 // ServingArtifact is the machine-readable record of one serving-capacity
 // sweep (BENCH_serving.json).
 type ServingArtifact struct {
-	Experiment  string         `json:"experiment"`
-	Title       string         `json:"title"`
-	CreatedUnix int64          `json:"created_unix"`
-	GoVersion   string         `json:"go_version"`
-	GOOS        string         `json:"goos"`
-	GOARCH      string         `json:"goarch"`
-	NumCPU      int            `json:"num_cpu"`
+	Experiment  string `json:"experiment"`
+	Title       string `json:"title"`
+	CreatedUnix int64  `json:"created_unix"`
+	GoVersion   string `json:"go_version"`
+	GOOS        string `json:"goos"`
+	GOARCH      string `json:"goarch"`
+	NumCPU      int    `json:"num_cpu"`
 	// GOMAXPROCS and SingleCPUCaveat mirror Artifact: the scheduler ceiling
 	// the sweep actually ran under, and whether one schedulable CPU makes
 	// the concurrency results time-slicing artifacts.

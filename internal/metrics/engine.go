@@ -13,13 +13,9 @@ import (
 // and external consumers (CLI progress rendering, tests) can obtain the
 // exact handles the engine updates.
 //
-// Two feeds fill these instruments: the Observer bridge aggregates the
-// engine's trace-event stream (round/level durations, candidate verdicts,
-// phase switches, Guardian interventions, run completion, plus Go runtime
-// gauges sampled on each event), and the Sampler/Validator/Guardian hook
-// structs carry direct instrumentation for quantities the events are too
-// coarse to capture (per-window efficiency, batched comparison and
-// validation counts, live FDTree footprint).
+// The Observer bridge is the only writer of these instruments: every
+// quantity reaches it on the engine's trace-event stream, and it samples
+// the Go runtime gauges on each event.
 type EngineMetrics struct {
 	// Phase 0: ingest and preprocessing.
 	IngestedRows     *Counter   // hyfd_ingest_rows_total
@@ -80,8 +76,8 @@ type EngineMetrics struct {
 }
 
 // NewEngineMetrics registers (or re-resolves) the engine's instrument set
-// on the registry. A nil registry returns nil, whose Observer and hook
-// accessors all degrade to no-ops — the unmetered fast path.
+// on the registry. A nil registry returns nil, whose Observer is nil — the
+// unmetered fast path.
 func NewEngineMetrics(r *Registry) *EngineMetrics {
 	if r == nil {
 		return nil
@@ -182,11 +178,15 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 // Observer bridges the engine's trace-event stream into the instruments.
 // It is invoked synchronously from the coordinating goroutine (see
 // internal/trace) and additionally samples the Go runtime gauges on each
-// event. A nil receiver yields a nil Observer, which trace.Multi skips.
+// event. The events carry comparisons, windows and validations as run
+// totals; the observer turns them into counter deltas with per-run state
+// that PreprocessingDone, the event opening every run, resets. A nil
+// receiver yields a nil Observer, which trace.Multi skips.
 func (m *EngineMetrics) Observer() trace.Observer {
 	if m == nil {
 		return nil
 	}
+	var comparisons, windows, validations int64 // the current run's totals so far
 	return trace.ObserverFunc(func(e trace.Event) {
 		switch ev := e.(type) {
 		case trace.IngestDone:
@@ -195,7 +195,11 @@ func (m *EngineMetrics) Observer() trace.Observer {
 		case trace.PLIBuilt:
 			m.PLIsBuilt.Inc()
 			m.PLIBuildDuration.Observe(ev.Duration.Seconds())
+			for _, size := range ev.ClusterSizes {
+				m.PLIClusterSize.Observe(float64(size))
+			}
 		case trace.PreprocessingDone:
+			comparisons, windows, validations = 0, 0, 0
 			if ev.Warm {
 				// A reused Dataset did no preprocessing work of its own;
 				// recording its ~zero duration would skew the histogram.
@@ -207,6 +211,13 @@ func (m *EngineMetrics) Observer() trace.Observer {
 			m.SamplingRounds.Inc()
 			m.SamplingRoundDuration.Observe(ev.Duration.Seconds())
 			m.NewViolations.Add(int64(ev.NewObservations))
+			m.Comparisons.Add(ev.Comparisons - comparisons)
+			m.SamplingWindows.Add(ev.Windows - windows)
+			comparisons, windows = ev.Comparisons, ev.Windows
+			for _, eff := range ev.WindowEfficiencies {
+				m.SamplingWindowEfficiency.Observe(eff)
+			}
+			m.FDTreeBytes.Set(float64(ev.FootprintBytes))
 		case trace.PhaseSwitch:
 			if ev.From == trace.PhaseValidation {
 				m.PhaseSwitches.Inc()
@@ -216,12 +227,20 @@ func (m *EngineMetrics) Observer() trace.Observer {
 			m.ValidationLevelDuration.Observe(ev.Duration.Seconds())
 			m.ValidCandidates.Add(int64(ev.Valid))
 			m.InvalidCandidates.Add(int64(ev.Invalid))
+			m.Suggestions.Add(int64(ev.Suggestions))
+			m.Validations.Add(ev.Validations - validations)
+			validations = ev.Validations
+			m.FDTreeBytes.Set(float64(ev.FootprintBytes))
 		case trace.GuardianPrune:
 			m.GuardianInterventions.Inc()
+			m.FDTreeBytes.Set(float64(ev.FootprintBytes))
 		case trace.RankedResult:
 			m.RankedEmitted.Inc()
 			if ev.Rank == 1 {
 				m.RankedTimeToFirst.Observe(ev.Duration.Seconds())
+			}
+			if ev.TopK > 0 && ev.Rank == ev.TopK {
+				m.RankedTimeToTopK.Observe(ev.Duration.Seconds())
 			}
 		case trace.Done:
 			m.Runs.Inc()
@@ -255,49 +274,4 @@ func (m *EngineMetrics) sampleRuntime() {
 	m.HeapInuse.Set(float64(ms.HeapInuse))
 	m.GCCycles.Set(float64(ms.NumGC))
 	m.Goroutines.Set(float64(runtime.NumGoroutine()))
-}
-
-// SamplerInstruments is the Sampler's direct-instrumentation hook. The
-// zero value is a no-op: every field is a nil-safe instrument.
-type SamplerInstruments struct {
-	// Comparisons receives the sampler's comparison count, batched once
-	// per round so the per-comparison hot path stays untouched.
-	Comparisons *Counter
-	// Windows counts cluster-window runs.
-	Windows *Counter
-	// WindowEfficiency records new-violations-per-comparison of each
-	// window run — the quantity the sampler's priority queue ranks on.
-	WindowEfficiency *Histogram
-}
-
-// Sampler returns the sampler's hook set.
-func (m *EngineMetrics) Sampler() SamplerInstruments {
-	if m == nil {
-		return SamplerInstruments{}
-	}
-	return SamplerInstruments{
-		Comparisons:      m.Comparisons,
-		Windows:          m.SamplingWindows,
-		WindowEfficiency: m.SamplingWindowEfficiency,
-	}
-}
-
-// ValidatorInstruments is the Validator's direct-instrumentation hook. The
-// zero value is a no-op.
-type ValidatorInstruments struct {
-	// Validations receives node-validation counts, batched once per level
-	// (before the level's trace event fires, so observers reading the
-	// counter on the event see it current).
-	Validations *Counter
-	// Suggestions receives the count of violating record pairs collected
-	// per level.
-	Suggestions *Counter
-}
-
-// Validator returns the validator's hook set.
-func (m *EngineMetrics) Validator() ValidatorInstruments {
-	if m == nil {
-		return ValidatorInstruments{}
-	}
-	return ValidatorInstruments{Validations: m.Validations, Suggestions: m.Suggestions}
 }

@@ -1,6 +1,6 @@
 package metrics
 
-// Snapshot is a point-in-time, JSON-stable view of a Registry. Instruments
+// Snapshot is a point-in-time, JSON-stable view of a Registry. Series
 // appear in name order (then label-value order), per-bucket counts are
 // non-cumulative with the overflow bucket last, and quantiles are
 // precomputed so consumers of BENCH_*.json artifacts never re-implement

@@ -249,8 +249,8 @@ func NewIndexWith(rel *relation.Relation, ns relation.NullSemantics, opts Option
 }
 
 // ForEachClusterSize calls f with the size of every non-singleton cluster
-// across all attribute PLIs, in attribute order. The metrics layer uses it
-// to record the cluster-size distribution after preprocessing.
+// across all attribute PLIs, in attribute order — the cluster-size
+// distribution of a prepared index.
 func (ix *Index) ForEachClusterSize(f func(size int)) {
 	for _, p := range ix.Plis {
 		for _, c := range p.Clusters {

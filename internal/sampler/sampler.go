@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"hyfd/internal/bitset"
-	"hyfd/internal/metrics"
 	"hyfd/internal/pli"
 )
 
@@ -73,7 +72,6 @@ type Sampler struct {
 	initialized bool
 	unfocused   bool
 	threads     int
-	inst        metrics.SamplerInstruments
 
 	// Comparisons counts record-pair comparisons over the sampler's life
 	// (telemetry for the evaluation).
@@ -82,6 +80,11 @@ type Sampler struct {
 	// sampler's unit of work, one per efficiency-queue pop (telemetry for
 	// trace.SamplingRound).
 	Windows int64
+	// WindowEfficiencies holds the new violations per comparison of each
+	// window run of the latest Run that made comparisons, in run order
+	// (telemetry for trace.SamplingRound). Every Run starts a new slice, so
+	// an earlier round's slice is never modified.
+	WindowEfficiencies []float64
 }
 
 // Config parameterizes a Sampler. It replaces the former per-component
@@ -101,11 +104,6 @@ type Config struct {
 	// quantifies the contribution of focused sampling; it affects
 	// efficiency only, never correctness.
 	Unfocused bool
-	// Instruments carries the sampler's direct metrics hooks. The zero
-	// value is a no-op: the per-comparison hot path stays untouched,
-	// comparison counts are batched once per round, and the per-window
-	// instruments fire once per window run.
-	Instruments metrics.SamplerInstruments
 }
 
 // New returns a Sampler over the preprocessed index.
@@ -123,7 +121,6 @@ func New(ix *pli.Index, cfg Config) *Sampler {
 		threshold: threshold,
 		threads:   threads,
 		unfocused: cfg.Unfocused,
-		inst:      cfg.Instruments,
 		seen:      make(map[string]struct{}),
 	}
 }
@@ -142,8 +139,7 @@ func (s *Sampler) Threshold() float64 { return s.threshold }
 // comparisons inside them; a canceled run returns ctx.Err() promptly and
 // leaves the sampler in a consistent (but unfinished) state.
 func (s *Sampler) Run(ctx context.Context, suggestions []pli.Pair) ([]bitset.Set, error) {
-	compsBefore := s.Comparisons
-	defer func() { s.inst.Comparisons.Add(s.Comparisons - compsBefore) }()
+	s.WindowEfficiencies = nil
 	var newObs []bitset.Set
 	if !s.initialized {
 		s.initialized = true
@@ -305,9 +301,8 @@ func (s *Sampler) runWindow(ctx context.Context, e *efficiency, newObs *[]bitset
 	e.comps += comps
 	e.results += int64(len(*newObs) - before)
 	s.Windows++
-	s.inst.Windows.Inc()
 	if comps > 0 {
-		s.inst.WindowEfficiency.Observe(float64(len(*newObs)-before) / float64(comps))
+		s.WindowEfficiencies = append(s.WindowEfficiencies, float64(len(*newObs)-before)/float64(comps))
 	}
 	return nil
 }

@@ -11,9 +11,12 @@
 // goroutine. A nil Observer is always valid and costs one branch per event.
 //
 // The internal/metrics package builds on this layer: its EngineMetrics
-// bridges the event stream into hyfd_* counter/gauge/histogram families,
-// so Prometheus exposition and JSON snapshots are fed from the same events
-// as any user observer. The internal/tracing package bridges the same
+// observer is the only writer of the engine's hyfd_* counter, gauge and
+// histogram families, so Prometheus exposition and JSON snapshots are fed
+// from the same events as any user observer. Events therefore carry every
+// quantity the metrics report, as cumulative run totals (comparisons,
+// windows, validations) or per-round batches (window efficiencies, cluster
+// sizes). The internal/tracing package bridges the same
 // stream into per-job flight-recorder spans for the hyfdd serving path.
 package trace
 
@@ -71,6 +74,10 @@ type PLIBuilt struct {
 	// Clusters is the attribute's distinct-value count (including stripped
 	// singletons).
 	Clusters int
+	// ClusterSizes lists the sizes of the attribute's non-singleton
+	// clusters in cluster order. The engine fills it only when a caller's
+	// observer or metrics registry is attached.
+	ClusterSizes []int
 	// Duration is the attribute's build wall-clock time.
 	Duration time.Duration
 }
@@ -101,9 +108,17 @@ type SamplingRound struct {
 	// unit of work; each window run compares every record pair at one
 	// window distance within one cluster).
 	Windows int64
+	// WindowEfficiencies holds the new violations per comparison of each
+	// window run this round that made comparisons, in run order — the
+	// quantity the sampler's priority queue ranks on. Every round carries
+	// its own slice.
+	WindowEfficiencies []float64
 	// Threshold is the efficiency threshold the round stopped at (it halves
 	// on every re-entry into Phase 1).
 	Threshold float64
+	// FootprintBytes is the result tree's approximate footprint after the
+	// round's induction and Guardian check.
+	FootprintBytes int64
 	// Duration is the round's wall-clock time including induction.
 	Duration time.Duration
 }
@@ -126,6 +141,11 @@ type ValidationLevel struct {
 	// Suggestions is the number of violating record pairs this level
 	// collected for Phase 1 — the quantity that decides a switch back.
 	Suggestions int
+	// Validations is the cumulative FDTree node validation count.
+	Validations int64
+	// FootprintBytes is the result tree's approximate footprint after the
+	// level's specializations.
+	FootprintBytes int64
 	// Duration is the level's wall-clock time.
 	Duration time.Duration
 }
@@ -157,6 +177,9 @@ type RankedResult struct {
 	Lhs []int
 	// Rhs is the dependent attribute index.
 	Rhs int
+	// TopK is the run's result budget (0 when the run ranks the complete
+	// cover); the result with Rank == TopK completes the top-k.
+	TopK int
 	// Duration is the elapsed run time when the rank stabilized.
 	Duration time.Duration
 }

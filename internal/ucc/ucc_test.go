@@ -172,47 +172,6 @@ func TestQuickDiscoverMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestQuickHybridMatchesBottomUp(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rel := randomRelation(r, 1+r.Intn(40), 2+r.Intn(4), 1+r.Intn(5))
-		bottomUp, err := discover(rel, relation.NullEqualsNull, 0)
-		if err != nil {
-			return false
-		}
-		hybrid, err := discoverHybrid(rel, relation.NullEqualsNull)
-		if err != nil {
-			return false
-		}
-		if len(bottomUp) != len(hybrid) {
-			return false
-		}
-		for i := range bottomUp {
-			if !bottomUp[i].Equal(hybrid[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHybridOnKeyedRelation(t *testing.T) {
-	rel := relation.New("k", []string{"ID", "X", "Y", "Z"})
-	for i := 0; i < 50; i++ {
-		rel.AppendRow([]string{
-			strconv.Itoa(i), strconv.Itoa(i % 5), strconv.Itoa(i % 7), strconv.Itoa(i % 2),
-		})
-	}
-	got, err := discoverHybrid(rel, relation.NullEqualsNull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesBrute(t, rel, got)
-}
-
 // prepare builds a single-threaded Dataset over rel under ns.
 func prepare(rel *relation.Relation, ns relation.NullSemantics) (*dataset.Dataset, error) {
 	return dataset.Prepare(context.Background(), rel, dataset.Options{NullSemantics: ns, Threads: 1})
@@ -225,13 +184,4 @@ func discover(rel *relation.Relation, ns relation.NullSemantics, maxSize int) ([
 		return nil, err
 	}
 	return Discover(context.Background(), ds, maxSize)
-}
-
-// discoverHybrid prepares rel under ns and runs the hybrid search on it.
-func discoverHybrid(rel *relation.Relation, ns relation.NullSemantics) ([]bitset.Set, error) {
-	ds, err := prepare(rel, ns)
-	if err != nil {
-		return nil, err
-	}
-	return DiscoverHybrid(ds)
 }

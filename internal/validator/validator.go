@@ -18,7 +18,6 @@ import (
 	"hyfd/internal/fd"
 	"hyfd/internal/fdtree"
 	"hyfd/internal/invariant"
-	"hyfd/internal/metrics"
 	"hyfd/internal/pli"
 	"hyfd/internal/trace"
 )
@@ -56,7 +55,6 @@ type Validator struct {
 	intersect bool
 	cache     *pli.Cache
 	observer  trace.Observer
-	inst      metrics.ValidatorInstruments
 	levelFn   func(level int, valid []fd.FD) bool
 
 	levelNumber int
@@ -92,13 +90,6 @@ func WithThreads(n int) Option {
 // the validator.
 func WithObserver(o trace.Observer) Option {
 	return func(v *Validator) { v.observer = o }
-}
-
-// WithInstruments attaches the validator's direct metrics hooks. The zero
-// value is a no-op. Counts are batched once per level, added before the
-// trace.ValidationLevel event fires so observers read current totals.
-func WithInstruments(in metrics.ValidatorInstruments) Option {
-	return func(v *Validator) { v.inst = in }
 }
 
 // WithLevelFunc registers a per-level callback for ranked discovery. After
@@ -165,7 +156,6 @@ func (v *Validator) Run(ctx context.Context, exhaustive bool) (*Result, error) {
 		}
 		//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 		levelStart := time.Now()
-		validationsBefore := v.Validations
 		suggestionsBefore := len(res.Suggestions)
 		numValid, numInvalid := 0, 0
 		var invalids []invalidFd
@@ -203,14 +193,14 @@ func (v *Validator) Run(ctx context.Context, exhaustive bool) (*Result, error) {
 		if invariant.Enabled {
 			v.assertLevelMinimal(level)
 		}
-		v.inst.Validations.Add(v.Validations - validationsBefore)
-		v.inst.Suggestions.Add(int64(len(res.Suggestions) - suggestionsBefore))
 		trace.Emit(v.observer, trace.ValidationLevel{
-			Level:       v.levelNumber,
-			Candidates:  numValid + numInvalid,
-			Valid:       numValid,
-			Invalid:     numInvalid,
-			Suggestions: len(res.Suggestions) - suggestionsBefore,
+			Level:          v.levelNumber,
+			Candidates:     numValid + numInvalid,
+			Valid:          numValid,
+			Invalid:        numInvalid,
+			Suggestions:    len(res.Suggestions) - suggestionsBefore,
+			Validations:    v.Validations,
+			FootprintBytes: int64(v.tree.ApproxBytes()),
 			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 			Duration: time.Since(levelStart),
 		})

@@ -38,7 +38,8 @@ func TestMetricsPublicAPI(t *testing.T) {
 
 // TestBaselineStatsHaveTotalTime pins the baseline timing fix: baseline
 // runs must report wall-clock TotalTime even though the baselines emit no
-// engine trace events.
+// engine trace events. Cold afd and ucc runs must count their own
+// preprocessing in TotalTime, as HyFD and the baselines do.
 func TestBaselineStatsHaveTotalTime(t *testing.T) {
 	rel, err := hyfd.ReadCSV("class", strings.NewReader(classCSV()), hyfd.CSVOptions{HasHeader: true})
 	if err != nil {
@@ -51,6 +52,16 @@ func TestBaselineStatsHaveTotalTime(t *testing.T) {
 		}
 		if res.Stats.TotalTime <= 0 {
 			t.Errorf("%s: TotalTime = %v, want > 0", name, res.Stats.TotalTime)
+		}
+	}
+	for _, mode := range []hyfd.Mode{hyfd.ModeAFD, hyfd.ModeUCC} {
+		res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Mode: mode})
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if st := res.Stats; st.PreprocessingTime <= 0 || st.TotalTime < st.PreprocessingTime {
+			t.Errorf("cold %s: TotalTime = %v, PreprocessingTime = %v, want TotalTime >= PreprocessingTime > 0",
+				mode, st.TotalTime, st.PreprocessingTime)
 		}
 	}
 }

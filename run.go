@@ -276,11 +276,11 @@ func runBaseline(ctx context.Context, req Request) (*Result, error) {
 
 // runAFD dispatches approximate FD discovery (g3 ≤ Request.MaxError).
 func runAFD(ctx context.Context, req Request) (*Result, error) {
+	start := time.Now()
 	ds, warm, err := requestDataset(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	afds, err := afd.Discover(ctx, ds, afd.Options{
 		MaxError: req.MaxError,
 		MaxLhs:   req.Options.MaxLhsSize,
@@ -296,11 +296,11 @@ func runAFD(ctx context.Context, req Request) (*Result, error) {
 
 // runUCC dispatches unique column combination discovery.
 func runUCC(ctx context.Context, req Request) (*Result, error) {
+	start := time.Now()
 	ds, warm, err := requestDataset(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	uccs, err := ucc.Discover(ctx, ds, req.Options.MaxLhsSize)
 	if err != nil {
 		return nil, err
